@@ -10,8 +10,19 @@ serial code, so require no regression instead.
 
 from _common import finish, load
 
+MAX_EVALS_PER_ITERATION = 10
+
 bench = load("BENCH_inference.json")
 failures = []
+evals_per_iteration = bench["objective_evals"] / max(bench["em_iterations"], 1)
+if bench["em_iterations"] <= 0:
+    failures.append("EM ran no iterations on the 1000x10 table")
+elif evals_per_iteration > MAX_EVALS_PER_ITERATION:
+    failures.append(
+        f"M-step costs {evals_per_iteration:.1f} objective evaluations per EM iteration "
+        f"({bench['objective_evals']} over {bench['em_iterations']}), "
+        f"limit {MAX_EVALS_PER_ITERATION}"
+    )
 if not bench["kernels_equal"]:
     failures.append("generic and AVX2 kernels are not bit-equal")
 if not bench["serial_parallel_bit_identical"]:
@@ -38,5 +49,7 @@ finish(
     f"inference gates ok: kernel path {bench['kernel_path']}, {threads} thread(s), "
     f"mstep {serial['mstep_ns']/1e6:.0f} ms serial -> {parallel['mstep_ns']/1e6:.0f} ms "
     f"pooled ({bench['mstep_speedup']:.2f}x), estep {bench['estep_speedup']:.2f}x, "
-    f"naive-vs-csr {bench['csr_speedup_over_naive']:.2f}x",
+    f"naive-vs-csr {bench['csr_speedup_over_naive']:.2f}x, "
+    f"{evals_per_iteration:.1f} objective evals per EM iteration "
+    f"({bench['em_iterations']} iterations)",
 )

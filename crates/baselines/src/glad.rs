@@ -10,7 +10,7 @@
 #![allow(clippy::needless_range_loop)] // index loops here walk several parallel arrays
 use crate::method::{naive_estimates, TruthMethod};
 use tcrowd_stat::clamp_prob;
-use tcrowd_stat::optimize::{gradient_ascent, AscentOptions};
+use tcrowd_stat::optimize::{gradient_ascent_with, AscentOptions};
 use tcrowd_tabular::{AnswerLog, AnswerMatrix, CellId, ColumnType, Schema, Value};
 
 /// GLAD estimator (per-column fits).
@@ -77,10 +77,10 @@ impl Glad {
             // Cache p_correct per answer.
             let pc: Vec<f64> =
                 triples.iter().map(|&(i, _, a)| clamp_prob(posterior[i][a])).collect();
-            let objective = |x: &[f64]| -> (f64, Vec<f64>) {
+            let objective = |x: &[f64], grad: &mut [f64]| -> f64 {
                 let (ab, lnb) = x.split_at(nu);
                 let mut val = 0.0;
-                let mut grad = vec![0.0; x.len()];
+                grad.fill(0.0);
                 for (t, &(i, u, _)) in triples.iter().enumerate() {
                     let b = lnb[i].clamp(-8.0, 8.0).exp();
                     let s = clamp_prob(sigmoid(ab[u] * b));
@@ -101,9 +101,9 @@ impl Glad {
                     val -= 0.5 * lam * v * v;
                     grad[nu + i] -= lam * v;
                 }
-                (val, grad)
+                val
             };
-            let res = gradient_ascent(
+            let res = gradient_ascent_with(
                 objective,
                 &params,
                 &AscentOptions { initial_step: 0.3, max_iters: 20, ..Default::default() },

@@ -22,6 +22,7 @@ use crate::model::quality_from_variance;
 use crate::truth::TruthDist;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::cmp::Ordering;
 use tcrowd_stat::clamp_prob;
 use tcrowd_tabular::{AnswerMatrix, AnswerQueries, CellId, FrozenView, Schema, Value, WorkerId};
 
@@ -129,12 +130,19 @@ pub enum BatchMode {
     SequentialGreedy,
 }
 
-/// Rank `candidates` by `gain` and return the top `k` (stable for ties).
-fn top_k_by_gain(candidates: Vec<CellId>, gains: Vec<f64>, k: usize) -> Vec<CellId> {
+/// Total order on gains with NaN below every number: a degenerate gain
+/// (e.g. from a broken posterior) ranks its cell last instead of panicking
+/// the request that asked for an assignment.
+fn cmp_gain(a: f64, b: f64) -> Ordering {
+    let key = |g: f64| if g.is_nan() { f64::NEG_INFINITY } else { g };
+    key(a).partial_cmp(&key(b)).unwrap_or(Ordering::Equal)
+}
+
+/// Rank `candidates` by `gain` and return the top `k` (ties and NaN gains
+/// broken by cell order).
+pub(crate) fn top_k_by_gain(candidates: Vec<CellId>, gains: Vec<f64>, k: usize) -> Vec<CellId> {
     let mut order: Vec<usize> = (0..candidates.len()).collect();
-    order.sort_by(|&a, &b| {
-        gains[b].partial_cmp(&gains[a]).expect("NaN gain").then(candidates[a].cmp(&candidates[b]))
-    });
+    order.sort_by(|&a, &b| cmp_gain(gains[b], gains[a]).then(candidates[a].cmp(&candidates[b])));
     order.into_iter().take(k).map(|i| candidates[i]).collect()
 }
 
@@ -238,7 +246,7 @@ where
         let best = gains
             .iter()
             .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("NaN gain"))
+            .max_by(|a, b| cmp_gain(*a.1, *b.1))
             .map(|(i, _)| i)
             .expect("non-empty");
         picked.push(candidates.swap_remove(best));
@@ -421,6 +429,22 @@ mod tests {
         );
         let r = TCrowd::default_full().infer(&d.schema, &d.answers);
         (d, r)
+    }
+
+    #[test]
+    fn nan_gains_rank_last_instead_of_panicking() {
+        let cells: Vec<CellId> = (0..5).map(|c| CellId::new(0, c)).collect();
+        let gains = vec![0.3, f64::NAN, 0.9, f64::NAN, 0.1];
+        assert_eq!(
+            top_k_by_gain(cells.clone(), gains.clone(), 5),
+            vec![cells[2], cells[0], cells[4], cells[1], cells[3]]
+        );
+        let mut rng = StdRng::seed_from_u64(0);
+        let rescore = |c: CellId, _: &mut StdRng| gains[c.col as usize];
+        let picked = sequential_greedy(cells.clone(), gains.clone(), 3, rescore, &mut rng);
+        assert_eq!(picked, vec![cells[2], cells[0], cells[4]]);
+        let all_nan = vec![f64::NAN; 5];
+        assert_eq!(top_k_by_gain(cells.clone(), all_nan, 2), vec![cells[0], cells[1]]);
     }
 
     #[test]

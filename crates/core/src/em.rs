@@ -6,6 +6,16 @@
 //! (`ln α, ln β, ln φ`) so positivity is structural rather than enforced by
 //! projection.
 //!
+//! **M-step.** Eq. 5 asks for "gradient descent" on α, β and φ. We run a
+//! block-coordinate diagonal-Newton ascent instead (see `m_step`): it
+//! sweeps the worker block φ, then the row block α, then the column block
+//! β. Every answer touches exactly one worker, one row and one column, so
+//! within a block the Hessian of the objective is exactly diagonal; the
+//! batch kernels emit each answer's `d²/d(ln v)²` next to its gradient, and
+//! each coordinate moves by `Δ_k = g_k / (λ − h_k)` (clipped to ±1 in log
+//! units). A block's step is halved until the objective strictly improves,
+//! so every M-step is monotone and the ELBO never decreases.
+//!
 //! **Identifiability.** The likelihood only sees the product
 //! `α_i β_j φ_u`, which leaves a two-dimensional scale ambiguity. After every
 //! M-step the geometric means of `α` and `β` are renormalised to 1 and the
@@ -20,7 +30,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 use tcrowd_stat::batch::{kernels, BatchKernels};
 use tcrowd_stat::normal::Normal;
-use tcrowd_stat::optimize::{gradient_ascent_with, AscentOptions};
+use tcrowd_stat::optimize::{backtrack, newton_direction, NewtonOptions};
 use tcrowd_stat::{clamp_prob, EPS};
 
 /// Options controlling the EM loop.
@@ -90,8 +100,11 @@ pub struct EmOptions {
     /// thread per available core. Thread count never affects the fitted
     /// numbers, only wall-clock.
     pub threads: usize,
-    /// Inner gradient-ascent configuration for the M-step.
-    pub mstep: AscentOptions,
+    /// The M-step's block-coordinate diagonal-Newton ascent: how many
+    /// φ → α → β sweeps one M-step may take, the objective gain below which
+    /// a block is left alone and the sweeps stop, and how often a block's
+    /// step may be halved before the block is left where it is.
+    pub mstep: NewtonOptions,
 }
 
 impl Default for EmOptions {
@@ -109,20 +122,15 @@ impl Default for EmOptions {
             parallel_estep: cfg!(feature = "parallel"),
             parallel_mstep: cfg!(feature = "parallel"),
             threads: 0,
-            mstep: AscentOptions {
-                initial_step: 0.25,
-                max_iters: 25,
-                tol: 1e-8,
-                max_backtracks: 25,
-                growth: 1.4,
-            },
+            mstep: NewtonOptions { max_sweeps: 2, tol: 1e-8, max_backtracks: 10 },
         }
     }
 }
 
 impl EmOptions {
     /// Preset for fixed-point-accurate fits: tight parameter-change
-    /// criterion, tight inner ascent, generous iteration caps. Far slower
+    /// criterion, M-steps run to a tight tolerance over many sweeps,
+    /// generous iteration caps. Far slower
     /// than the default and unnecessary for production estimates — use it
     /// when two runs must land on the *same* optimum to high precision
     /// (the warm-vs-cold 1e-6 agreement contract shared by the sim
@@ -132,12 +140,7 @@ impl EmOptions {
             tol: 1e-14,
             param_tol: 3e-8,
             max_iters: 600,
-            mstep: AscentOptions {
-                tol: 1e-13,
-                max_iters: 80,
-                max_backtracks: 30,
-                ..EmOptions::default().mstep
-            },
+            mstep: NewtonOptions { max_sweeps: 5, tol: 1e-13, ..EmOptions::default().mstep },
             ..Default::default()
         }
     }
@@ -303,7 +306,7 @@ pub(crate) struct EmState {
 pub struct EmTimings {
     /// Total E-step time, nanoseconds.
     pub estep_ns: u64,
-    /// Total M-step (gradient ascent) time, nanoseconds.
+    /// Total M-step (block-Newton ascent) time, nanoseconds.
     pub mstep_ns: u64,
     /// Total ELBO-evaluation time, nanoseconds.
     pub elbo_ns: u64,
@@ -343,14 +346,9 @@ pub(crate) struct WarmStart {
     pub ln_phi: Vec<f64>,
 }
 
-/// Run the full EM loop (Algorithm 1) on a workspace, cold-started.
-#[cfg_attr(not(test), allow(dead_code))] // production callers go through `run_em_from`
-pub(crate) fn run_em(ws: &Workspace, opts: &EmOptions) -> EmState {
-    run_em_from(ws, opts, None)
-}
-
-/// Run the full EM loop, optionally seeding the parameters from a previous
-/// fit (see [`WarmStart`]).
+/// Run the full EM loop (Algorithm 1) on a workspace, cold-started
+/// (`warm = None`) or seeding the parameters from a previous fit (see
+/// [`WarmStart`]).
 pub(crate) fn run_em_from(ws: &Workspace, opts: &EmOptions, warm: Option<&WarmStart>) -> EmState {
     let bound = opts.ln_param_bound;
     let (ln_alpha, ln_beta, ln_phi) = match warm {
@@ -597,11 +595,10 @@ pub(crate) fn e_step_with(ws: &Workspace, state: &mut EmState, pool: Option<&Wor
 /// ~100 µs of kernel work, comfortably above the per-chunk claim cost.
 const MSTEP_CHUNK: usize = 4096;
 
-/// Reusable buffer set for one EM run: the per-answer caches, the staging
-/// arrays the batch kernels read/write, and the parameter pack buffer.
-/// Allocated once per `run_em_from` (sized by the workspace's SoA runs) —
-/// pre-PR-6 the M-step allocated two full-length cache `Vec`s per call and
-/// a gradient `Vec` per objective evaluation.
+/// Reusable buffer set for one EM run: the per-answer caches and the
+/// staging arrays the batch kernels read/write. Allocated once per
+/// `run_em_from` (sized by the workspace's SoA runs), so no objective
+/// evaluation allocates.
 pub(crate) struct EmScratch {
     /// Continuous answers: `K = (a − T^µ)² + T^φ` (rebuilt per posterior).
     cont_k: Vec<f64>,
@@ -615,8 +612,9 @@ pub(crate) struct EmScratch {
     /// Staging: per-answer `∂term/∂ln v` written by the kernels.
     cont_g: Vec<f64>,
     cat_g: Vec<f64>,
-    /// Packed-parameter buffer for the gradient-ascent start point.
-    x: Vec<f64>,
+    /// Staging: per-answer `∂²term/∂(ln v)²` written by the kernels.
+    cont_h: Vec<f64>,
+    cat_h: Vec<f64>,
 }
 
 impl EmScratch {
@@ -631,7 +629,8 @@ impl EmScratch {
             cat_ln_v: vec![0.0; nk],
             cont_g: vec![0.0; nc],
             cat_g: vec![0.0; nk],
-            x: Vec::new(),
+            cont_h: vec![0.0; nc],
+            cat_h: vec![0.0; nk],
         }
     }
 }
@@ -675,6 +674,7 @@ struct ChunkTask<'a> {
     aux2: &'a [f64],
     ln_v: &'a mut [f64],
     g: &'a mut [f64],
+    h: &'a mut [f64],
     /// The chunk's objective partial sum, written by the job.
     q: f64,
 }
@@ -711,7 +711,8 @@ fn fill_ln_v(
 /// quality terms over the categorical run, evaluated by the batch kernels
 /// chunk by chunk (optionally across the pool). Returns the summed
 /// objective contribution; per-answer `∂/∂ln v` lands in
-/// `scratch.cont_g` / `scratch.cat_g`.
+/// `scratch.cont_g` / `scratch.cat_g` and `∂²/∂(ln v)²` in
+/// `scratch.cont_h` / `scratch.cat_h`.
 ///
 /// **Determinism:** chunk boundaries come from [`MSTEP_CHUNK`], each chunk
 /// writes only its own slices, and the partial sums are folded serially in
@@ -729,10 +730,15 @@ fn eval_answers(
     pool: Option<&WorkerPool>,
 ) -> f64 {
     let r = &ws.runs;
-    let EmScratch { cont_k, cat_p, cat_c, cont_ln_v, cat_ln_v, cont_g, cat_g, .. } = scratch;
+    let EmScratch {
+        cont_k, cat_p, cat_c, cont_ln_v, cat_ln_v, cont_g, cat_g, cont_h, cat_h, ..
+    } = scratch;
     let mut tasks: Vec<Mutex<ChunkTask>> = Vec::new();
-    for (i, (ln_v, g)) in
-        cont_ln_v.chunks_mut(MSTEP_CHUNK).zip(cont_g.chunks_mut(MSTEP_CHUNK)).enumerate()
+    for (i, ((ln_v, g), h)) in cont_ln_v
+        .chunks_mut(MSTEP_CHUNK)
+        .zip(cont_g.chunks_mut(MSTEP_CHUNK))
+        .zip(cont_h.chunks_mut(MSTEP_CHUNK))
+        .enumerate()
     {
         let s = i * MSTEP_CHUNK;
         let e = s + ln_v.len();
@@ -745,11 +751,15 @@ fn eval_answers(
             aux2: &[],
             ln_v,
             g,
+            h,
             q: 0.0,
         }));
     }
-    for (i, (ln_v, g)) in
-        cat_ln_v.chunks_mut(MSTEP_CHUNK).zip(cat_g.chunks_mut(MSTEP_CHUNK)).enumerate()
+    for (i, ((ln_v, g), h)) in cat_ln_v
+        .chunks_mut(MSTEP_CHUNK)
+        .zip(cat_g.chunks_mut(MSTEP_CHUNK))
+        .zip(cat_h.chunks_mut(MSTEP_CHUNK))
+        .enumerate()
     {
         let s = i * MSTEP_CHUNK;
         let e = s + ln_v.len();
@@ -762,6 +772,7 @@ fn eval_answers(
             aux2: &cat_c[s..e],
             ln_v,
             g,
+            h,
             q: 0.0,
         }));
     }
@@ -770,9 +781,9 @@ fn eval_answers(
         let t = &mut *guard;
         fill_ln_v(la, lb, lp, clamp, t.rows, t.cols, t.workers, t.ln_v);
         t.q = if t.cat {
-            kern.quality_terms(ws.epsilon, t.ln_v, t.aux, t.aux2, t.g)
+            kern.quality_terms(ws.epsilon, t.ln_v, t.aux, t.aux2, t.g, t.h)
         } else {
-            kern.gaussian_terms(t.ln_v, t.aux, t.g)
+            kern.gaussian_terms(t.ln_v, t.aux, t.g, t.h)
         };
     };
     match pool.filter(|p| p.threads() > 1 && tasks.len() > 1) {
@@ -787,10 +798,99 @@ fn eval_answers(
     tasks.iter().map(|t| t.lock().expect("mstep chunk mutex").q).sum()
 }
 
-/// M-step (Eq. 5): gradient ascent on the expected complete-data
-/// log-likelihood over the active log-parameters, the objective evaluated
-/// by the batch kernels (optionally across the pool). Returns the number
-/// of objective evaluations the inner ascent performed.
+/// The M-step's parameter blocks, in sweep order.
+#[derive(Debug, Clone, Copy)]
+enum Block {
+    /// Worker variances `ln φ_u`.
+    Phi,
+    /// Row difficulties `ln α_i`.
+    Alpha,
+    /// Column difficulties `ln β_j`.
+    Beta,
+}
+
+/// Log-density of the MAP priors at `(ln α, ln β, ln φ)` (see the field
+/// docs on [`EmOptions`]); frozen difficulty blocks carry no prior.
+fn log_prior(ws: &Workspace, opts: &EmOptions, la: &[f64], lb: &[f64], lp: &[f64]) -> f64 {
+    let phi_center = initial_phi(ws.epsilon, opts.init_quality).ln();
+    let mut lp_sum = 0.0;
+    if opts.learn_row_difficulty {
+        lp_sum -= 0.5 * opts.difficulty_prior_strength * la.iter().map(|v| v * v).sum::<f64>();
+    }
+    if opts.learn_col_difficulty {
+        lp_sum -= 0.5 * opts.difficulty_prior_strength * lb.iter().map(|v| v * v).sum::<f64>();
+    }
+    lp_sum
+        - 0.5
+            * opts.phi_prior_strength
+            * lp.iter().map(|v| (v - phi_center) * (v - phi_center)).sum::<f64>()
+}
+
+/// The M-step objective (Eq. 5 plus the MAP priors) at `(la, lb, lp)`, with
+/// effective log-variances clamped into the optimiser box. Per-answer
+/// gradients and curvatures land in the scratch staging arrays.
+#[allow(clippy::too_many_arguments)] // three param blocks + the evaluation context
+fn mstep_objective(
+    ws: &Workspace,
+    opts: &EmOptions,
+    la: &[f64],
+    lb: &[f64],
+    lp: &[f64],
+    kern: BatchKernels,
+    scratch: &mut EmScratch,
+    pool: Option<&WorkerPool>,
+) -> f64 {
+    let answers = eval_answers(
+        ws,
+        opts.learn_row_difficulty.then_some(la),
+        opts.learn_col_difficulty.then_some(lb),
+        lp,
+        Some(opts.ln_param_bound),
+        kern,
+        scratch,
+        pool,
+    );
+    answers + log_prior(ws, opts, la, lb, lp)
+}
+
+/// Sum the staged per-answer gradient and curvature into one block's `n`
+/// coordinates, serially in fixed run order (continuous run, then
+/// categorical) — so the result is the same at any M-step thread count.
+fn scatter_block(
+    cont_idx: &[u32],
+    cat_idx: &[u32],
+    scratch: &EmScratch,
+    n: usize,
+) -> (Vec<f64>, Vec<f64>) {
+    let (mut grad, mut curv) = (vec![0.0; n], vec![0.0; n]);
+    for (j, &k) in cont_idx.iter().enumerate() {
+        grad[k as usize] += scratch.cont_g[j];
+        curv[k as usize] += scratch.cont_h[j];
+    }
+    for (j, &k) in cat_idx.iter().enumerate() {
+        grad[k as usize] += scratch.cat_g[j];
+        curv[k as usize] += scratch.cat_h[j];
+    }
+    (grad, curv)
+}
+
+/// M-step (Eq. 5): block-coordinate diagonal-Newton ascent on the expected
+/// complete-data log-likelihood plus the MAP priors, over the active
+/// log-parameters. Returns the number of objective evaluations.
+///
+/// One sweep steps the blocks φ, α, β in turn (frozen difficulty blocks are
+/// skipped). For a block, the per-answer gradient and curvature the last
+/// evaluation staged are scattered into the block's coordinates, the
+/// prior's terms are added, and every coordinate moves by
+/// `Δ_k = g_k / (λ − h_k)` clipped to ±1 ([`newton_direction`]). Within a
+/// block the Hessian is exactly diagonal — each answer touches one worker,
+/// one row and one column — so this is a Newton step up to the
+/// Gauss–Newton approximation of the categorical curvature. The step is
+/// halved until the objective strictly improves ([`backtrack`]), which
+/// keeps every M-step monotone; the accepting evaluation stages the
+/// gradient and curvature the next block starts from. A block whose
+/// predicted gain is below `opts.mstep.tol` is not stepped, and the sweeps
+/// stop once one gains less than that tolerance.
 fn m_step(
     ws: &Workspace,
     state: &mut EmState,
@@ -800,101 +900,74 @@ fn m_step(
     pool: Option<&WorkerPool>,
 ) -> usize {
     build_cache(ws, &state.truths, scratch);
-    let learn_a = opts.learn_row_difficulty;
-    let learn_b = opts.learn_col_difficulty;
-    let na = if learn_a { ws.n_rows } else { 0 };
-    let nb = if learn_b { ws.n_cols } else { 0 };
-
-    // Pack the active parameters into the reused buffer.
-    let mut x0 = std::mem::take(&mut scratch.x);
-    x0.clear();
-    if learn_a {
-        x0.extend_from_slice(&state.ln_alpha);
-    }
-    if learn_b {
-        x0.extend_from_slice(&state.ln_beta);
-    }
-    x0.extend_from_slice(&state.ln_phi);
-
+    let newton = opts.mstep;
     let bound = opts.ln_param_bound;
     let phi_center = initial_phi(ws.epsilon, opts.init_quality).ln();
-    let lam_phi = opts.phi_prior_strength;
-    let lam_diff = opts.difficulty_prior_strength;
-    let objective = |x: &[f64], grad: &mut [f64]| -> f64 {
-        let (la, rest) = x.split_at(na);
-        let (lb, lp) = rest.split_at(nb);
-        let mut q_val = eval_answers(
-            ws,
-            learn_a.then_some(la),
-            learn_b.then_some(lb),
-            lp,
-            Some(bound),
-            kern,
-            scratch,
-            pool,
-        );
-        // Serial scatter of the per-answer ∂/∂ln v into the parameter
-        // gradient, in fixed run order — `g` is identical for α, β and φ,
-        // and the three scatter targets are disjoint parameter ranges.
-        grad.fill(0.0);
-        let r = &ws.runs;
-        if learn_a {
-            for (j, &row) in r.cont_row.iter().enumerate() {
-                grad[row as usize] += scratch.cont_g[j];
-            }
-            for (j, &row) in r.cat_row.iter().enumerate() {
-                grad[row as usize] += scratch.cat_g[j];
-            }
-        }
-        if learn_b {
-            for (j, &col) in r.cont_col.iter().enumerate() {
-                grad[na + col as usize] += scratch.cont_g[j];
-            }
-            for (j, &col) in r.cat_col.iter().enumerate() {
-                grad[na + col as usize] += scratch.cat_g[j];
-            }
-        }
-        for (j, &w) in r.cont_worker.iter().enumerate() {
-            grad[na + nb + w as usize] += scratch.cont_g[j];
-        }
-        for (j, &w) in r.cat_worker.iter().enumerate() {
-            grad[na + nb + w as usize] += scratch.cat_g[j];
-        }
-        // MAP priors (see field docs on EmOptions).
-        for (i, &v) in la.iter().enumerate() {
-            q_val -= 0.5 * lam_diff * v * v;
-            grad[i] -= lam_diff * v;
-        }
-        for (i, &v) in lb.iter().enumerate() {
-            q_val -= 0.5 * lam_diff * v * v;
-            grad[na + i] -= lam_diff * v;
-        }
-        for (i, &v) in lp.iter().enumerate() {
-            let d = v - phi_center;
-            q_val -= 0.5 * lam_phi * d * d;
-            grad[na + nb + i] -= lam_phi * d;
-        }
-        q_val
+    let objective = |la: &[f64], lb: &[f64], lp: &[f64], scratch: &mut EmScratch| {
+        mstep_objective(ws, opts, la, lb, lp, kern, scratch, pool)
     };
-
-    let result = gradient_ascent_with(objective, &x0, &opts.mstep);
-    scratch.x = x0; // hand the pack buffer back for the next iteration
-    let x = result.params;
-    let (la, rest) = x.split_at(na);
-    let (lb, lp) = rest.split_at(nb);
-    if learn_a {
-        state.ln_alpha.copy_from_slice(la);
+    let mut value = objective(&state.ln_alpha, &state.ln_beta, &state.ln_phi, scratch);
+    let mut evals = 1;
+    // Whether the staged per-answer derivatives belong to the current point
+    // (a fully rejected line search leaves its last trial's there).
+    let mut fresh = true;
+    for _ in 0..newton.max_sweeps {
+        let sweep_start = value;
+        for block in [Block::Phi, Block::Alpha, Block::Beta] {
+            let (lambda, center) = match block {
+                Block::Phi => (opts.phi_prior_strength, phi_center),
+                Block::Alpha if opts.learn_row_difficulty => (opts.difficulty_prior_strength, 0.0),
+                Block::Beta if opts.learn_col_difficulty => (opts.difficulty_prior_strength, 0.0),
+                _ => continue,
+            };
+            if !fresh {
+                value = objective(&state.ln_alpha, &state.ln_beta, &state.ln_phi, scratch);
+                evals += 1;
+                fresh = true;
+            }
+            let r = &ws.runs;
+            let (cont_idx, cat_idx, x) = match block {
+                Block::Phi => (&r.cont_worker, &r.cat_worker, &state.ln_phi),
+                Block::Alpha => (&r.cont_row, &r.cat_row, &state.ln_alpha),
+                Block::Beta => (&r.cont_col, &r.cat_col, &state.ln_beta),
+            };
+            let (mut grad, curv) = scatter_block(cont_idx, cat_idx, scratch, x.len());
+            for (g, &v) in grad.iter_mut().zip(x.iter()) {
+                *g -= lambda * (v - center);
+            }
+            let mut dir = vec![0.0; x.len()];
+            let mut trial = vec![0.0; x.len()];
+            let gain = newton_direction(&grad, &curv, lambda, &mut dir);
+            let (accepted, n_evals) = if gain > newton.tol {
+                let (la, lb, lp) = (&state.ln_alpha, &state.ln_beta, &state.ln_phi);
+                backtrack(x, &dir, value, bound, newton.max_backtracks, &mut trial, |t| match block
+                {
+                    Block::Phi => objective(la, lb, t, scratch),
+                    Block::Alpha => objective(t, lb, lp, scratch),
+                    Block::Beta => objective(la, t, lp, scratch),
+                })
+            } else {
+                (None, 0)
+            };
+            evals += n_evals;
+            match accepted {
+                Some(v) => {
+                    value = v;
+                    let target = match block {
+                        Block::Phi => &mut state.ln_phi,
+                        Block::Alpha => &mut state.ln_alpha,
+                        Block::Beta => &mut state.ln_beta,
+                    };
+                    target.copy_from_slice(&trial);
+                }
+                None => fresh = fresh && n_evals == 0,
+            }
+        }
+        if value - sweep_start < newton.tol {
+            break;
+        }
     }
-    if learn_b {
-        state.ln_beta.copy_from_slice(lb);
-    }
-    state.ln_phi.copy_from_slice(lp);
-    for v in
-        state.ln_alpha.iter_mut().chain(state.ln_beta.iter_mut()).chain(state.ln_phi.iter_mut())
-    {
-        *v = v.clamp(-bound, bound);
-    }
-    result.evaluations
+    evals
 }
 
 /// Identifiability polish applied once after EM converges: set the geometric
@@ -936,7 +1009,7 @@ fn renormalize(state: &mut EmState, opts: &EmOptions) -> (f64, f64) {
 /// The per-answer expectation is exactly the [`eval_answers`] sum the
 /// M-step maximises — same kernels, same chunk order — evaluated at the
 /// *state* parameters, unclamped (the optimiser box only applies inside
-/// the ascent). What remains here is the per-cell part: prior expectation
+/// the M-step). What remains here is the per-cell part: prior expectation
 /// and posterior entropy.
 pub(crate) fn compute_elbo(
     ws: &Workspace,
@@ -946,20 +1019,7 @@ pub(crate) fn compute_elbo(
     scratch: &mut EmScratch,
     pool: Option<&WorkerPool>,
 ) -> f64 {
-    let phi_center = initial_phi(ws.epsilon, opts.init_quality).ln();
-    let mut elbo = 0.0;
-    if opts.learn_row_difficulty {
-        elbo -= 0.5
-            * opts.difficulty_prior_strength
-            * state.ln_alpha.iter().map(|v| v * v).sum::<f64>();
-    }
-    if opts.learn_col_difficulty {
-        elbo -=
-            0.5 * opts.difficulty_prior_strength * state.ln_beta.iter().map(|v| v * v).sum::<f64>();
-    }
-    elbo -= 0.5
-        * opts.phi_prior_strength
-        * state.ln_phi.iter().map(|v| (v - phi_center) * (v - phi_center)).sum::<f64>();
+    let mut elbo = log_prior(ws, opts, &state.ln_alpha, &state.ln_beta, &state.ln_phi);
     build_cache(ws, &state.truths, scratch);
     elbo += eval_answers(
         ws,
@@ -1064,7 +1124,7 @@ mod tests {
     fn elbo_is_monotone_nondecreasing() {
         let phis = [0.05, 0.2, 0.6, 2.0, 0.1];
         let (ws, _, _) = synth_workspace(25, 2, 2, &phis, 3);
-        let state = run_em(&ws, &EmOptions::default());
+        let state = run_em_from(&ws, &EmOptions::default(), None);
         for w in state.trace.windows(2) {
             assert!(
                 w[1] >= w[0] - 1e-6 * (1.0 + w[0].abs()),
@@ -1081,7 +1141,7 @@ mod tests {
         // Workers with small true φ must come out with small fitted φ.
         let phis = [0.05, 0.15, 0.4, 1.2, 3.0];
         let (ws, _, _) = synth_workspace(60, 2, 2, &phis, 7);
-        let state = run_em(&ws, &EmOptions::default());
+        let state = run_em_from(&ws, &EmOptions::default(), None);
         let fitted: Vec<f64> = state.ln_phi.iter().map(|l| l.exp()).collect();
         // Spearman-ish check: order preserved pairwise for well-separated φ.
         for i in 0..phis.len() {
@@ -1104,7 +1164,7 @@ mod tests {
     fn em_recovers_continuous_truth_better_than_single_worker() {
         let phis = [0.1, 0.3, 1.0, 2.5];
         let (ws, cont_truth, _) = synth_workspace(50, 0, 3, &phis, 11);
-        let state = run_em(&ws, &EmOptions::default());
+        let state = run_em_from(&ws, &EmOptions::default(), None);
         let mut se_est = 0.0;
         let mut se_first = 0.0;
         let mut n = 0.0;
@@ -1128,7 +1188,7 @@ mod tests {
     fn em_recovers_categorical_truth() {
         let phis = [0.08, 0.2, 0.5, 1.5];
         let (ws, _, cat_truth) = synth_workspace(60, 3, 0, &phis, 13);
-        let state = run_em(&ws, &EmOptions::default());
+        let state = run_em_from(&ws, &EmOptions::default(), None);
         let mut correct = 0;
         let mut total = 0;
         for i in 0..ws.n_rows {
@@ -1239,9 +1299,35 @@ mod tests {
     }
 
     #[test]
+    fn m_step_never_lowers_its_objective() {
+        let phis = [0.05, 0.2, 0.6, 2.0, 0.1];
+        let (ws, _, _) = synth_workspace(30, 2, 2, &phis, 43);
+        let kern = kernels();
+        let frozen_rows = EmOptions { learn_row_difficulty: false, ..Default::default() };
+        for opts in [EmOptions::default(), frozen_rows, EmOptions::deep_convergence()] {
+            // Start points along a real EM trajectory (0..4 iterations in).
+            for iters in 0..4 {
+                let mut state = run_em_from(&ws, &EmOptions { max_iters: iters, ..opts }, None);
+                let mut scratch = EmScratch::new(&ws);
+                build_cache(&ws, &state.truths, &mut scratch);
+                let objective = |state: &EmState, scratch: &mut EmScratch| {
+                    let (la, lb, lp) = (&state.ln_alpha, &state.ln_beta, &state.ln_phi);
+                    mstep_objective(&ws, &opts, la, lb, lp, kern, scratch, None)
+                };
+                let before = objective(&state, &mut scratch);
+                let evals = m_step(&ws, &mut state, &opts, kern, &mut scratch, None);
+                let after = objective(&state, &mut scratch);
+                assert!(after >= before, "M-step lowered its objective: {before} -> {after}");
+                assert!(evals >= 1);
+                assert!(evals <= 1 + opts.mstep.max_sweeps * 3 * (opts.mstep.max_backtracks + 2));
+            }
+        }
+    }
+
+    #[test]
     fn empty_workspace_converges_to_priors() {
         let ws = Workspace::assemble(3, 2, 0, vec![ColKind::Cat(3), ColKind::Cont], vec![], 0.5);
-        let state = run_em(&ws, &EmOptions::default());
+        let state = run_em_from(&ws, &EmOptions::default(), None);
         assert!(state.converged);
         assert_eq!(state.truths.len(), 6);
         assert_eq!(state.truths[0], TruthDist::uniform(3));
@@ -1251,7 +1337,7 @@ mod tests {
     fn difficulty_normalisation_holds() {
         let phis = [0.1, 0.5, 1.0];
         let (ws, _, _) = synth_workspace(20, 1, 1, &phis, 19);
-        let state = run_em(&ws, &EmOptions::default());
+        let state = run_em_from(&ws, &EmOptions::default(), None);
         let ma: f64 = state.ln_alpha.iter().sum::<f64>() / state.ln_alpha.len() as f64;
         let mb: f64 = state.ln_beta.iter().sum::<f64>() / state.ln_beta.len() as f64;
         assert!(ma.abs() < 1e-9, "mean ln α = {ma}");
@@ -1267,7 +1353,7 @@ mod tests {
             learn_col_difficulty: false,
             ..Default::default()
         };
-        let state = run_em(&ws, &opts);
+        let state = run_em_from(&ws, &opts, None);
         assert!(state.ln_alpha.iter().all(|v| *v == 0.0));
         assert!(state.ln_beta.iter().all(|v| *v == 0.0));
         // φ must still have been learned (moved off the calibrated init).
@@ -1282,8 +1368,10 @@ mod tests {
         // work-stealing path genuinely runs (the default is feature-driven,
         // so both sides pin the flag explicitly).
         let (ws, _, _) = synth_workspace(60, 3, 3, &phis, 31);
-        let serial = run_em(&ws, &EmOptions { parallel_estep: false, ..Default::default() });
-        let parallel = run_em(&ws, &EmOptions { parallel_estep: true, ..Default::default() });
+        let serial =
+            run_em_from(&ws, &EmOptions { parallel_estep: false, ..Default::default() }, None);
+        let parallel =
+            run_em_from(&ws, &EmOptions { parallel_estep: true, ..Default::default() }, None);
         assert_eq!(serial.iterations, parallel.iterations);
         assert_eq!(serial.truths, parallel.truths, "posteriors must be bit-identical");
         assert_eq!(serial.ln_phi, parallel.ln_phi);
@@ -1307,12 +1395,13 @@ mod tests {
         // chunks of each kind once split, and big enough that the pooled
         // path genuinely runs chunks on more than one thread.
         let (ws, _, _) = synth_workspace(50, 3, 3, &phis, 37);
-        let serial = run_em(
+        let serial = run_em_from(
             &ws,
             &EmOptions { parallel_estep: false, parallel_mstep: false, ..Default::default() },
+            None,
         );
         for threads in [1usize, 2, 4, 8] {
-            let parallel = run_em(
+            let parallel = run_em_from(
                 &ws,
                 &EmOptions {
                     parallel_estep: false,
@@ -1320,6 +1409,7 @@ mod tests {
                     threads,
                     ..Default::default()
                 },
+                None,
             );
             assert_eq!(serial.iterations, parallel.iterations, "threads = {threads}");
             for (a, b) in serial.ln_phi.iter().zip(&parallel.ln_phi) {
@@ -1338,11 +1428,12 @@ mod tests {
         // Both phases pooled at once — the pool is shared across E and M.
         let phis = [0.05, 0.2, 0.6, 2.0, 0.1, 0.4, 0.9, 1.5];
         let (ws, _, _) = synth_workspace(60, 3, 3, &phis, 41);
-        let serial = run_em(
+        let serial = run_em_from(
             &ws,
             &EmOptions { parallel_estep: false, parallel_mstep: false, ..Default::default() },
+            None,
         );
-        let parallel = run_em(
+        let parallel = run_em_from(
             &ws,
             &EmOptions {
                 parallel_estep: true,
@@ -1350,6 +1441,7 @@ mod tests {
                 threads: 4,
                 ..Default::default()
             },
+            None,
         );
         assert_eq!(serial.iterations, parallel.iterations);
         assert_eq!(serial.truths, parallel.truths);
@@ -1365,7 +1457,7 @@ mod tests {
         // the drift a warm restart may add shrinks with `param_tol` (the
         // ELBO-only default keeps ~1e-3 slack in ln φ).
         let opts = EmOptions { tol: 1e-12, param_tol: 1e-6, max_iters: 4000, ..Default::default() };
-        let cold = run_em(&ws, &opts);
+        let cold = run_em_from(&ws, &opts, None);
         let warm = WarmStart {
             ln_alpha: cold.ln_alpha.clone(),
             ln_beta: cold.ln_beta.clone(),
@@ -1390,7 +1482,7 @@ mod tests {
     fn converges_within_paper_iteration_budget() {
         let phis = [0.05, 0.2, 0.6, 2.0, 0.1];
         let (ws, _, _) = synth_workspace(40, 2, 2, &phis, 29);
-        let state = run_em(&ws, &EmOptions::default());
+        let state = run_em_from(&ws, &EmOptions::default(), None);
         assert!(state.converged, "EM did not converge");
         assert!(state.iterations <= 30, "took {} iterations (paper: < 20)", state.iterations);
     }

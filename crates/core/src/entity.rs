@@ -27,6 +27,7 @@
 //! `λ_{u,g(i)} · α_i β_j φ_u`, optionally combined with the attribute-level
 //! conditioning of the structure-aware policy.
 
+use crate::assign::top_k_by_gain;
 use crate::correlation::{observe_error, CorrelationModel, ErrorObservation, PredictedError};
 use crate::gain::{gain_with_params, GainEstimator};
 use crate::inference::InferenceResult;
@@ -418,14 +419,7 @@ impl crate::assign::AssignmentPolicy for EntityAwarePolicy {
                 gain_with_params(inference.truth_z(c), v, q, self.estimator, &mut self.rng)
             })
             .collect();
-        let mut order: Vec<usize> = (0..candidates.len()).collect();
-        order.sort_by(|&a, &b| {
-            gains[b]
-                .partial_cmp(&gains[a])
-                .expect("NaN gain")
-                .then(candidates[a].cmp(&candidates[b]))
-        });
-        order.into_iter().take(k).map(|i| candidates[i]).collect()
+        top_k_by_gain(candidates, gains, k)
     }
 }
 

@@ -7,8 +7,8 @@
 //!
 //! * **Differential testing** — `infer_reference` must produce the same
 //!   estimates as [`TCrowd::infer`] (property-tested to `1e-9`; the two
-//!   paths perform the same arithmetic in the same order, only the data
-//!   access differs).
+//!   paths take the same block-Newton M-step with the same step rule, only
+//!   the data access — and so the summation order — differs).
 //! * **Benchmarking** — `benches/bench_inference.rs` measures the CSR
 //!   speedup against this path on the 1 000×10 mixed-type table.
 //!
@@ -26,7 +26,7 @@ use std::collections::HashMap;
 use tcrowd_stat::clamp_prob;
 use tcrowd_stat::describe::{median, std_dev, zscore_params};
 use tcrowd_stat::normal::Normal;
-use tcrowd_stat::optimize::gradient_ascent;
+use tcrowd_stat::optimize::{backtrack, newton_direction};
 use tcrowd_tabular::{AnswerLog, ColumnType, Schema, Value, WorkerId};
 
 const LN_2PI: f64 = 1.8378770664093453;
@@ -249,18 +249,23 @@ fn run_em_reference(
         }
     };
 
-    let elbo_of = |truths: &[TruthDist], la: &[f64], lb: &[f64], lp: &[f64]| -> f64 {
-        let phi_center = initial_phi(ws.epsilon, opts.init_quality).ln();
-        let mut elbo = 0.0;
+    let phi_center = initial_phi(ws.epsilon, opts.init_quality).ln();
+    let log_prior = |la: &[f64], lb: &[f64], lp: &[f64]| -> f64 {
+        let mut total = 0.0;
         if opts.learn_row_difficulty {
-            elbo -= 0.5 * opts.difficulty_prior_strength * la.iter().map(|v| v * v).sum::<f64>();
+            total -= 0.5 * opts.difficulty_prior_strength * la.iter().map(|v| v * v).sum::<f64>();
         }
         if opts.learn_col_difficulty {
-            elbo -= 0.5 * opts.difficulty_prior_strength * lb.iter().map(|v| v * v).sum::<f64>();
+            total -= 0.5 * opts.difficulty_prior_strength * lb.iter().map(|v| v * v).sum::<f64>();
         }
-        elbo -= 0.5
-            * opts.phi_prior_strength
-            * lp.iter().map(|v| (v - phi_center) * (v - phi_center)).sum::<f64>();
+        total
+            - 0.5
+                * opts.phi_prior_strength
+                * lp.iter().map(|v| (v - phi_center) * (v - phi_center)).sum::<f64>()
+    };
+
+    let elbo_of = |truths: &[TruthDist], la: &[f64], lb: &[f64], lp: &[f64]| -> f64 {
+        let mut elbo = log_prior(la, lb, lp);
         for row in 0..ws.n_rows as u32 {
             for col in 0..ws.n_cols as u32 {
                 let Some(idx) = ws.by_cell.get(&(row, col)) else { continue };
@@ -301,6 +306,9 @@ fn run_em_reference(
         elbo
     };
 
+    // The M-step: the columnar engine's block-coordinate diagonal-Newton
+    // ascent (`em::m_step`), every sum taken per answer through the hash
+    // indexes.
     let m_step = |truths: &[TruthDist], la: &mut Vec<f64>, lb: &mut Vec<f64>, lp: &mut Vec<f64>| {
         // Per-answer sufficient statistics (dense, like the seed's cache).
         let mut cont_k = vec![0.0; ws.answers.len()];
@@ -320,90 +328,111 @@ fn run_em_reference(
 
         let learn_a = opts.learn_row_difficulty;
         let learn_b = opts.learn_col_difficulty;
-        let na = if learn_a { ws.n_rows } else { 0 };
-        let nb = if learn_b { ws.n_cols } else { 0 };
-        let mut x0 = Vec::with_capacity(na + nb + n_workers);
-        if learn_a {
-            x0.extend_from_slice(la);
-        }
-        if learn_b {
-            x0.extend_from_slice(lb);
-        }
-        x0.extend_from_slice(lp);
-
         let bound = opts.ln_param_bound;
-        let phi_center = initial_phi(ws.epsilon, opts.init_quality).ln();
-        let lam_phi = opts.phi_prior_strength;
-        let lam_diff = opts.difficulty_prior_strength;
-        let objective = |x: &[f64]| -> (f64, Vec<f64>) {
-            let (xa, rest) = x.split_at(na);
-            let (xb, xp) = rest.split_at(nb);
+        // Objective at (xa, xb, xp); per-answer d/d ln v and d²/d(ln v)² land
+        // in `g` / `h`, indexed like `ws.answers`.
+        let objective = |xa: &[f64], xb: &[f64], xp: &[f64], g: &mut [f64], h: &mut [f64]| {
             let mut q_val = 0.0;
-            let mut grad = vec![0.0; x.len()];
             for row in 0..ws.n_rows as u32 {
                 for col in 0..ws.n_cols as u32 {
                     let Some(idx) = ws.by_cell.get(&(row, col)) else { continue };
                     for &i in idx {
-                        let a = &ws.answers[i as usize];
+                        let i = i as usize;
+                        let a = &ws.answers[i];
                         let u = ws.worker_index[&a.worker] as usize;
                         let va = if learn_a { xa[a.row as usize] } else { 0.0 };
                         let vb = if learn_b { xb[a.col as usize] } else { 0.0 };
                         let ln_v = (va + vb + xp[u]).clamp(-bound, bound);
                         let v = ln_v.exp();
-                        let g = match ws.col_kind[a.col as usize] {
+                        match ws.col_kind[a.col as usize] {
                             ColKind::Cont => {
-                                let k = cont_k[i as usize];
+                                let k = cont_k[i];
                                 q_val += -0.5 * (LN_2PI + ln_v) - k / (2.0 * v);
-                                -0.5 + k / (2.0 * v)
+                                g[i] = -0.5 + k / (2.0 * v);
+                                h[i] = -k / (2.0 * v);
                             }
                             ColKind::Cat(l) => {
-                                let p = cat_p[i as usize];
+                                let p = cat_p[i];
                                 let q = quality_from_variance(ws.epsilon, v);
                                 q_val += p * q.ln()
                                     + (1.0 - p) * ((1.0 - q) / (l.max(2) - 1) as f64).ln();
                                 let dq = quality_dlnv(ws.epsilon, v);
-                                (p / q - (1.0 - p) / (1.0 - q)) * dq
+                                g[i] = (p / q - (1.0 - p) / (1.0 - q)) * dq;
+                                h[i] =
+                                    -dq * dq * (p / (q * q) + (1.0 - p) / ((1.0 - q) * (1.0 - q)));
                             }
-                        };
-                        if learn_a {
-                            grad[a.row as usize] += g;
                         }
-                        if learn_b {
-                            grad[na + a.col as usize] += g;
-                        }
-                        grad[na + nb + u] += g;
                     }
                 }
             }
-            for (i, &v) in xa.iter().enumerate() {
-                q_val -= 0.5 * lam_diff * v * v;
-                grad[i] -= lam_diff * v;
-            }
-            for (i, &v) in xb.iter().enumerate() {
-                q_val -= 0.5 * lam_diff * v * v;
-                grad[na + i] -= lam_diff * v;
-            }
-            for (i, &v) in xp.iter().enumerate() {
-                let d = v - phi_center;
-                q_val -= 0.5 * lam_phi * d * d;
-                grad[na + nb + i] -= lam_phi * d;
-            }
-            (q_val, grad)
+            q_val + log_prior(xa, xb, xp)
         };
 
-        let result = gradient_ascent(objective, &x0, &opts.mstep);
-        let x = result.params;
-        let (xa, rest) = x.split_at(na);
-        let (xb, xp) = rest.split_at(nb);
-        if learn_a {
-            la.copy_from_slice(xa);
-        }
-        if learn_b {
-            lb.copy_from_slice(xb);
-        }
-        lp.copy_from_slice(xp);
-        for v in la.iter_mut().chain(lb.iter_mut()).chain(lp.iter_mut()) {
-            *v = v.clamp(-bound, bound);
+        let n = ws.answers.len();
+        let (mut g, mut h) = (vec![0.0; n], vec![0.0; n]);
+        let mut value = objective(la, lb, lp, &mut g, &mut h);
+        let mut fresh = true;
+        for _ in 0..opts.mstep.max_sweeps {
+            let sweep_start = value;
+            for block in 0..3 {
+                let (lambda, center) = match block {
+                    0 => (opts.phi_prior_strength, phi_center),
+                    1 if learn_a => (opts.difficulty_prior_strength, 0.0),
+                    2 if learn_b => (opts.difficulty_prior_strength, 0.0),
+                    _ => continue,
+                };
+                if !fresh {
+                    value = objective(la, lb, lp, &mut g, &mut h);
+                    fresh = true;
+                }
+                let x: &[f64] = match block {
+                    0 => lp,
+                    1 => la,
+                    _ => lb,
+                };
+                let mut grad = vec![0.0; x.len()];
+                let mut curv = vec![0.0; x.len()];
+                for (i, a) in ws.answers.iter().enumerate() {
+                    let k = match block {
+                        0 => ws.worker_index[&a.worker] as usize,
+                        1 => a.row as usize,
+                        _ => a.col as usize,
+                    };
+                    grad[k] += g[i];
+                    curv[k] += h[i];
+                }
+                for (gk, &v) in grad.iter_mut().zip(x) {
+                    *gk -= lambda * (v - center);
+                }
+                let mut dir = vec![0.0; x.len()];
+                let mut trial = vec![0.0; x.len()];
+                let gain = newton_direction(&grad, &curv, lambda, &mut dir);
+                let (accepted, n_evals) = if gain > opts.mstep.tol {
+                    backtrack(x, &dir, value, bound, opts.mstep.max_backtracks, &mut trial, |t| {
+                        match block {
+                            0 => objective(la, lb, t, &mut g, &mut h),
+                            1 => objective(t, lb, lp, &mut g, &mut h),
+                            _ => objective(la, t, lp, &mut g, &mut h),
+                        }
+                    })
+                } else {
+                    (None, 0)
+                };
+                match accepted {
+                    Some(v) => {
+                        value = v;
+                        match block {
+                            0 => lp.copy_from_slice(&trial),
+                            1 => la.copy_from_slice(&trial),
+                            _ => lb.copy_from_slice(&trial),
+                        }
+                    }
+                    None => fresh = fresh && n_evals == 0,
+                }
+            }
+            if value - sweep_start < opts.mstep.tol {
+                break;
+            }
         }
     };
 

@@ -191,11 +191,18 @@ fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so without a cap a body of a few hundred thousand `[`
+/// overflows the thread's stack — which aborts the whole process, not just
+/// the request. No request body of this API nests deeper than 4.
+const MAX_DEPTH: usize = 64;
+
 /// Parse a JSON document; the whole input must be one value (trailing
-/// whitespace allowed). Errors carry the byte offset.
+/// whitespace allowed), nested at most 64 arrays/objects deep. Errors
+/// carry the byte offset.
 pub fn parse(input: &str) -> Result<Json, String> {
     let bytes = input.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser { bytes, pos: 0, depth: 0 };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
@@ -208,6 +215,8 @@ pub fn parse(input: &str) -> Result<Json, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -249,8 +258,15 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+                }
+                self.depth += 1;
+                let nested = if self.peek() == Some(b'[') { self.array() } else { self.object() };
+                self.depth -= 1;
+                nested
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(c) => Err(self.err(&format!("unexpected byte 0x{c:02x}"))),
             None => Err(self.err("unexpected end of input")),
@@ -467,6 +483,23 @@ mod tests {
             "{\"a\" 1}",
         ] {
             assert!(parse(bad).is_err(), "{bad:?} should not parse");
+        }
+    }
+
+    #[test]
+    fn nesting_is_capped_without_recursing_past_the_cap() {
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_cap).is_ok());
+        let objects = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(parse(&objects).is_ok());
+        for deep in [
+            format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1)),
+            "{\"a\":[".repeat(MAX_DEPTH),
+            // Half a MiB of `[` used to overflow the stack.
+            "[".repeat(512 * 1024),
+        ] {
+            let err = parse(&deep).unwrap_err();
+            assert!(err.contains("nesting deeper than"), "{err}");
         }
     }
 

@@ -419,7 +419,7 @@ pub struct Snapshot {
 
 /// The store-snapshot chain position of a durable table: what the next
 /// incremental write chains from.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 struct SnapChain {
     /// Whether a full base snapshot exists on disk.
     has_base: bool,
@@ -436,6 +436,10 @@ struct SnapChain {
     /// Force the next write to collapse into a full base (set when recovery
     /// found a broken chain — the orphan links get cleaned up with it).
     force_full: bool,
+    /// The fit the chain tip carries. A publish at the chain's epoch with a
+    /// different fit (the settling refit after a catch-up publish) must
+    /// still be persisted, or recovery would seed from the older fit.
+    fit: Option<FitParams>,
 }
 
 impl SnapChain {
@@ -448,10 +452,11 @@ impl SnapChain {
             base_answers: 0,
             chain_answers: 0,
             force_full: false,
+            fit: None,
         }
     }
 
-    fn from_recovery(info: &ChainInfo, epoch: u64) -> SnapChain {
+    fn from_recovery(info: &ChainInfo, epoch: u64, fit: Option<FitParams>) -> SnapChain {
         SnapChain {
             has_base: true,
             epoch,
@@ -460,6 +465,7 @@ impl SnapChain {
             base_answers: info.base_answers,
             chain_answers: info.chain_answers,
             force_full: info.broken.is_some(),
+            fit,
         }
     }
 }
@@ -858,9 +864,15 @@ impl TableState {
         let filtered =
             if excluded.is_empty() { None } else { Some(matrix.without_workers(&excluded)) };
         let fit_matrix = filtered.as_ref().unwrap_or(&matrix);
+        // With no tail the chain tip's fit is re-evaluated, not refitted:
+        // the result carries that fit (up to the seeding round trip), so the
+        // chain already holds it and the first persist has nothing to add.
+        let mut chain_fit = fit.clone();
         let result = match &fit {
             Some(seed) if replayed_tail == 0 && seed.shape_matches(rows, schema.num_columns()) => {
-                model.evaluate_seeded(&schema, fit_matrix, seed)
+                let result = model.evaluate_seeded(&schema, fit_matrix, seed);
+                chain_fit = Some(FitParams::of(&result));
+                result
             }
             Some(seed) if config.warm_refits => {
                 model.infer_matrix_seeded(&schema, fit_matrix, seed)
@@ -877,7 +889,7 @@ impl TableState {
         // everything) instead of rewriting a byte-identical full snapshot
         // on every restart.
         let chain_state = match &chain {
-            Some(info) => SnapChain::from_recovery(info, snapshot_epoch.unwrap_or(0)),
+            Some(info) => SnapChain::from_recovery(info, snapshot_epoch.unwrap_or(0), chain_fit),
             None => SnapChain::fresh(),
         };
         let durability = Durability::recovered(wal, dir, meta, chain_state, io);
@@ -1645,22 +1657,28 @@ impl TableState {
         // writer can never chain a delta from (or rename a base over) a
         // position the faster one already superseded.
         let mut chain = lock_recover(&d.chain);
-        if chain.has_base && chain.epoch >= snap.epoch as u64 && snap.epoch != 0 {
+        let fit = FitParams::of(&snap.result);
+        let same_fit = chain.fit.as_ref() == Some(&fit);
+        if chain.has_base
+            && (chain.epoch > snap.epoch as u64
+                || (chain.epoch == snap.epoch as u64 && snap.epoch != 0 && same_fit))
+        {
             // Already persisted (possibly by the background re-attempt).
             drop(chain);
             self.note_persist_success();
             return;
         }
         let delta_answers = snap.epoch as u64 - chain.epoch;
-        // An unchanged epoch with a healthy chain has nothing to add — don't
-        // append an empty delta (an empty durable table would otherwise grow
-        // one per restart).
-        if chain.has_base && delta_answers == 0 && !chain.force_full {
+        // An unchanged epoch and fit with a healthy chain has nothing to
+        // add — don't append an empty delta (an empty durable table would
+        // otherwise grow one per restart). A new fit at the same epoch goes
+        // out as a zero-answer delta carrying it.
+        if chain.has_base && delta_answers == 0 && !chain.force_full && same_fit {
             drop(chain);
             self.note_persist_success();
             return;
         }
-        let fit = Some(FitParams::of(&snap.result));
+        let fit = Some(fit);
         let collapse =
             !chain.has_base || chain.force_full || chain.links + 1 > SNAPSHOT_CHAIN_MAX_LINKS || {
                 let grown = chain.chain_answers + delta_answers;
@@ -1695,6 +1713,7 @@ impl TableState {
                         base_answers: snap.epoch as u64,
                         chain_answers: 0,
                         force_full: false,
+                        fit: table_snap.fit,
                     };
                     // The new base covers every answer at or below
                     // `pos.offset`: rotated WAL segments wholly below it are
@@ -1740,6 +1759,7 @@ impl TableState {
                     chain.links += 1;
                     chain.next_seq += 1;
                     chain.chain_answers += delta_answers;
+                    chain.fit = delta.fit;
                     Ok(())
                 }
                 Err(e) => Err(format!("snapshot delta write failed: {e}")),

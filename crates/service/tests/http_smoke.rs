@@ -474,3 +474,31 @@ fn served_truth_matches_offline_inference_on_the_served_log() {
     registry.shutdown();
     server.shutdown();
 }
+
+/// A body nested deeper than the parser's cap is one bad request, not a
+/// process abort: half a MiB of `[` (which used to overflow the worker
+/// thread's stack) gets a 400 on every JSON endpoint, and the server keeps
+/// serving the table it already holds.
+#[test]
+fn deeply_nested_body_gets_400_and_the_server_stays_up() {
+    let (_registry, server) = tcrowd_service::start("127.0.0.1:0", 2).expect("start server");
+    let client = Client { addr: server.addr() };
+    assert_eq!(client.post("/tables", CREATE_BODY).0, 201);
+    let (status, r) =
+        client.post("/tables/smoke/answers", r#"{"worker":1,"row":0,"col":0,"value":"x"}"#);
+    assert_eq!(status, 200, "{r}");
+
+    let bomb = "[".repeat(512 * 1024);
+    for path in ["/tables", "/tables/smoke/answers"] {
+        let (status, _, body) = client.raw_request("POST", path, &[], Some(&bomb));
+        assert_eq!(status, 400, "{path}: {body}");
+        assert!(body.contains("nesting"), "{path}: {body}");
+    }
+
+    let (status, health) = client.get("/healthz");
+    assert_eq!(status, 200);
+    assert_eq!(health.get("status").unwrap().as_str(), Some("ok"));
+    let (status, stats) = client.get("/tables/smoke/stats");
+    assert_eq!(status, 200, "{stats}");
+    assert_eq!(stats.get("answers").unwrap().as_u64(), Some(1), "{stats}");
+}

@@ -327,3 +327,89 @@ proptest! {
         std::fs::remove_dir_all(&dir).ok();
     }
 }
+
+/// A refresh that catches up answers which arrived mid-fit publishes epoch
+/// `E` with the older fit's parameters; the settling refresh that follows
+/// refits at the *same* epoch. That new fit must reach the store: recovery
+/// re-evaluates the persisted parameters, so if the store kept the
+/// catch-up fit the restarted table would serve a different truth.
+#[test]
+fn settling_refit_at_an_unchanged_epoch_survives_restart() {
+    let dir = fresh_dir("settling_refit");
+    let d = generate_dataset(
+        &GeneratorConfig {
+            rows: 60,
+            columns: 5,
+            num_workers: 20,
+            answers_per_task: 5,
+            ..Default::default()
+        },
+        41,
+    );
+    let all = d.answers.all();
+    let (served, links) = {
+        let reg = TableRegistry::with_store(store(&dir));
+        let t =
+            reg.create(Some("settle".into()), d.schema.clone(), d.rows(), manual_config()).unwrap();
+        let mut next = all.len() / 2;
+        t.submit(&all[..next]).unwrap();
+        assert!(t.refresh_now());
+        // Catch-up publish: start a refit (one pending answer), and submit a
+        // batch as soon as its `refit_started` event shows — EM runs outside
+        // the ingest lock, so the batch lands mid-fit unless the fit beats
+        // it, in which case the next attempt tries again.
+        let mut caught_up = false;
+        while !caught_up && next + 11 <= all.len() {
+            t.submit(&all[next..next + 1]).unwrap();
+            next += 1;
+            let since = t.obs().events().last_seq();
+            std::thread::scope(|s| {
+                let refresher = s.spawn(|| t.refresh_now());
+                let started = || {
+                    let page = t.obs().events().since(since, 64);
+                    page.events.iter().any(|e| e.kind == "refit_started")
+                };
+                while !started() && !refresher.is_finished() {
+                    std::thread::yield_now();
+                }
+                t.submit(&all[next..next + 10]).unwrap();
+                next += 10;
+                assert!(refresher.join().unwrap());
+            });
+            caught_up = t.snapshot().catchup_merged > 0;
+            if !caught_up {
+                assert!(t.refresh_now());
+            }
+        }
+        assert!(caught_up, "no refresh caught up mid-fit answers");
+        let epoch = t.snapshot().epoch;
+        assert_eq!(epoch, next);
+        assert_eq!(t.last_store_snapshot_epoch(), Some(epoch as u64));
+
+        // The settling refresh: no new answers, same epoch, new fit.
+        assert!(t.refresh_now());
+        let settled = t.snapshot();
+        assert_eq!(settled.epoch, epoch);
+        assert_eq!(settled.catchup_merged, 0);
+        // Nothing changed since: a further refresh persists nothing.
+        let links = t.store_snapshot_links();
+        assert!(!t.refresh_now());
+        assert_eq!(t.store_snapshot_links(), links);
+        t.stop_refresher();
+        (settled, links)
+    };
+
+    let reg = TableRegistry::with_store(store(&dir));
+    let report = reg.recover().unwrap();
+    assert_eq!(report.replayed, 0, "the snapshot chain covers the whole log");
+    let t = reg.get("settle").unwrap();
+    let snap = t.snapshot();
+    assert_eq!(snap.log.to_vec(), served.log.to_vec());
+    let gap = max_z_discrepancy(&snap.result, &served.result);
+    assert!(gap < 1e-6, "recovered truth differs from the settled pre-restart truth by {gap:.3e}");
+    // Recovery re-evaluates the chain tip's fit: that is no new fit, so no
+    // empty delta is appended on restart.
+    assert_eq!(t.store_snapshot_links(), links);
+    reg.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -26,6 +26,13 @@ unsafe fn splat(v: f64) -> __m256d {
     _mm256_set1_pd(v)
 }
 
+/// Sign flip, mirroring scalar unary `-` (exact, also for ±0).
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn neg_pd(x: __m256d) -> __m256d {
+    _mm256_xor_pd(x, splat(-0.0))
+}
+
 /// `e^x`, mirroring `lane::exp_lane`.
 #[inline]
 #[target_feature(enable = "avx2")]
@@ -178,7 +185,12 @@ unsafe fn quality_pair_pd(
 
 /// See [`super::BatchKernels::gaussian_terms`].
 #[target_feature(enable = "avx2")]
-pub(crate) unsafe fn gaussian_terms(ln_v: &[f64], k: &[f64], grad: &mut [f64]) -> f64 {
+pub(crate) unsafe fn gaussian_terms(
+    ln_v: &[f64],
+    k: &[f64],
+    grad: &mut [f64],
+    curv: &mut [f64],
+) -> f64 {
     let n = ln_v.len();
     let n4 = n - (n % 4);
     let mut vacc = _mm256_setzero_pd();
@@ -194,14 +206,16 @@ pub(crate) unsafe fn gaussian_terms(ln_v: &[f64], k: &[f64], grad: &mut [f64]) -
         let g = _mm256_add_pd(splat(-0.5), h);
         vacc = _mm256_add_pd(vacc, term);
         _mm256_storeu_pd(grad.as_mut_ptr().add(i), g);
+        _mm256_storeu_pd(curv.as_mut_ptr().add(i), neg_pd(h));
         i += 4;
     }
     let mut acc = [0.0f64; 4];
     _mm256_storeu_pd(acc.as_mut_ptr(), vacc);
     for l in 0..(n - n4) {
-        let (term, g) = lane::gaussian_lane(ln_v[n4 + l], k[n4 + l]);
+        let (term, g, h) = lane::gaussian_lane(ln_v[n4 + l], k[n4 + l]);
         acc[l] += term;
         grad[n4 + l] = g;
+        curv[n4 + l] = h;
     }
     super::generic::combine(acc)
 }
@@ -214,6 +228,7 @@ pub(crate) unsafe fn quality_terms(
     p: &[f64],
     c: &[f64],
     grad: &mut [f64],
+    curv: &mut [f64],
 ) -> f64 {
     let erf_nodes = crate::lut::erf_nodes_flat();
     let gauss_nodes = crate::lut::gauss_nodes_flat();
@@ -237,15 +252,21 @@ pub(crate) unsafe fn quality_terms(
         let term =
             _mm256_sub_pd(_mm256_add_pd(_mm256_mul_pd(pv, lq), _mm256_mul_pd(omp, lomq)), cv);
         // (p/q - (1-p)/(1-q)) · dq
-        let g = _mm256_mul_pd(_mm256_sub_pd(_mm256_div_pd(pv, q), _mm256_div_pd(omp, omq)), dq);
+        let hit = _mm256_div_pd(pv, q);
+        let miss = _mm256_div_pd(omp, omq);
+        let g = _mm256_mul_pd(_mm256_sub_pd(hit, miss), dq);
+        // -((dq·dq) · (hit/q + miss/(1-q)))
+        let w = _mm256_add_pd(_mm256_div_pd(hit, q), _mm256_div_pd(miss, omq));
+        let h = neg_pd(_mm256_mul_pd(_mm256_mul_pd(dq, dq), w));
         vacc = _mm256_add_pd(vacc, term);
         _mm256_storeu_pd(grad.as_mut_ptr().add(i), g);
+        _mm256_storeu_pd(curv.as_mut_ptr().add(i), h);
         i += 4;
     }
     let mut acc = [0.0f64; 4];
     _mm256_storeu_pd(acc.as_mut_ptr(), vacc);
     for l in 0..(n - n4) {
-        let (term, g) = lane::quality_term_lane(
+        let (term, g, h) = lane::quality_term_lane(
             erf_nodes,
             gauss_nodes,
             scaled_eps,
@@ -255,6 +276,7 @@ pub(crate) unsafe fn quality_terms(
         );
         acc[l] += term;
         grad[n4 + l] = g;
+        curv[n4 + l] = h;
     }
     super::generic::combine(acc)
 }

@@ -15,23 +15,25 @@ pub(crate) fn combine(acc: [f64; 4]) -> f64 {
 }
 
 /// See [`super::BatchKernels::gaussian_terms`].
-pub(crate) fn gaussian_terms(ln_v: &[f64], k: &[f64], grad: &mut [f64]) -> f64 {
+pub(crate) fn gaussian_terms(ln_v: &[f64], k: &[f64], grad: &mut [f64], curv: &mut [f64]) -> f64 {
     let n = ln_v.len();
     let n4 = n - (n % 4);
     let mut acc = [0.0f64; 4];
     let mut i = 0;
     while i < n4 {
         for l in 0..4 {
-            let (term, g) = lane::gaussian_lane(ln_v[i + l], k[i + l]);
+            let (term, g, h) = lane::gaussian_lane(ln_v[i + l], k[i + l]);
             acc[l] += term;
             grad[i + l] = g;
+            curv[i + l] = h;
         }
         i += 4;
     }
     for l in 0..(n - n4) {
-        let (term, g) = lane::gaussian_lane(ln_v[n4 + l], k[n4 + l]);
+        let (term, g, h) = lane::gaussian_lane(ln_v[n4 + l], k[n4 + l]);
         acc[l] += term;
         grad[n4 + l] = g;
+        curv[n4 + l] = h;
     }
     combine(acc)
 }
@@ -43,6 +45,7 @@ pub(crate) fn quality_terms(
     p: &[f64],
     c: &[f64],
     grad: &mut [f64],
+    curv: &mut [f64],
 ) -> f64 {
     let erf_nodes = crate::lut::erf_nodes_flat();
     let gauss_nodes = crate::lut::gauss_nodes_flat();
@@ -52,7 +55,7 @@ pub(crate) fn quality_terms(
     let mut i = 0;
     while i < n4 {
         for l in 0..4 {
-            let (term, g) = lane::quality_term_lane(
+            let (term, g, h) = lane::quality_term_lane(
                 erf_nodes,
                 gauss_nodes,
                 scaled_eps,
@@ -62,11 +65,12 @@ pub(crate) fn quality_terms(
             );
             acc[l] += term;
             grad[i + l] = g;
+            curv[i + l] = h;
         }
         i += 4;
     }
     for l in 0..(n - n4) {
-        let (term, g) = lane::quality_term_lane(
+        let (term, g, h) = lane::quality_term_lane(
             erf_nodes,
             gauss_nodes,
             scaled_eps,
@@ -76,6 +80,7 @@ pub(crate) fn quality_terms(
         );
         acc[l] += term;
         grad[n4 + l] = g;
+        curv[n4 + l] = h;
     }
     combine(acc)
 }

@@ -195,15 +195,15 @@ pub(crate) fn hermite_lane(nodes: &[f64], x: f64) -> f64 {
 pub(crate) const LN_2PI: f64 = 1.837_877_066_409_345_3;
 
 /// Gaussian per-answer term: given `ln v` and `k = (a - μ)² + σ²`, returns
-/// `(-½(ln 2π + ln v) - k/2v,  -½ + k/2v)` — the objective contribution and
-/// `d/d ln v`.
+/// `(-½(ln 2π + ln v) - k/2v,  -½ + k/2v,  -k/2v)` — the objective
+/// contribution, `d/d ln v` and the exact `d²/d(ln v)²`.
 #[inline(always)]
-pub(crate) fn gaussian_lane(ln_v: f64, k: f64) -> (f64, f64) {
+pub(crate) fn gaussian_lane(ln_v: f64, k: f64) -> (f64, f64, f64) {
     let v = exp_lane(ln_v);
     let h = k / (2.0 * v);
     let term = -0.5 * (LN_2PI + ln_v) - h;
     let g = -0.5 + h;
-    (term, g)
+    (term, g, -h)
 }
 
 /// Categorical quality pair: `q = clamp(erf(ε/√(2v)))` and `dq/d ln v`.
@@ -225,10 +225,14 @@ pub(crate) fn quality_pair_lane(
     (q, dq)
 }
 
-/// Categorical per-answer objective term and gradient: given the posterior
-/// hit probability `p` and the precomputed miss constant
+/// Categorical per-answer objective term, gradient and curvature: given the
+/// posterior hit probability `p` and the precomputed miss constant
 /// `c = (1-p)·ln(L-1)`, returns
-/// `(p·ln q + (1-p)·ln(1-q) - c,  (p/q - (1-p)/(1-q))·dq)`.
+/// `(p·ln q + (1-p)·ln(1-q) - c,  (p/q - (1-p)/(1-q))·dq,
+///   -dq²·(p/q² + (1-p)/(1-q)²))`.
+///
+/// The curvature is the Gauss–Newton form: it drops the `q''` term of the
+/// exact second derivative, which keeps it `≤ 0` for every input.
 #[inline(always)]
 pub(crate) fn quality_term_lane(
     erf_nodes: &[f64],
@@ -237,15 +241,18 @@ pub(crate) fn quality_term_lane(
     ln_v: f64,
     p: f64,
     c: f64,
-) -> (f64, f64) {
+) -> (f64, f64, f64) {
     let (q, dq) = quality_pair_lane(erf_nodes, gauss_nodes, scaled_eps, ln_v);
     let omq = 1.0 - q;
     let omp = 1.0 - p;
     let lq = ln_lane(q);
     let lomq = ln_lane(omq);
     let term = (p * lq + omp * lomq) - c;
-    let g = (p / q - omp / omq) * dq;
-    (term, g)
+    let hit = p / q;
+    let miss = omp / omq;
+    let g = (hit - miss) * dq;
+    let h = -((dq * dq) * (hit / q + miss / omq));
+    (term, g, h)
 }
 
 #[cfg(test)]

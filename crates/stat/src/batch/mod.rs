@@ -1,9 +1,10 @@
 //! Vectorized batch kernels for the EM M-step hot loop.
 //!
 //! The M-step objective is, per answer, one `exp`, an erf-family lookup and
-//! two `ln`s — evaluated tens of millions of times per inference. This
-//! module provides those per-answer terms as *batch* kernels over `&[f64]`
-//! slices, in two interchangeable paths:
+//! two `ln`s — evaluated millions of times per inference. This module
+//! provides those per-answer terms, with their first and second derivatives
+//! in `ln v`, as *batch* kernels over `&[f64]` slices, in two
+//! interchangeable paths:
 //!
 //! * [`generic`] — portable scalar code, four independent lane accumulators;
 //! * [`avx2`] — 4 × f64 AVX2 lanes behind **runtime** feature detection.
@@ -91,17 +92,25 @@ impl BatchKernels {
     ///
     /// For each `i` with effective log-variance `ln_v[i]` and posterior
     /// second moment `k[i] = (a - μ)² + σ²`, writes the gradient
-    /// `d/d ln v = -½ + k/2v` into `grad[i]` and returns the summed
+    /// `d/d ln v = -½ + k/2v` into `grad[i]` and the exact curvature
+    /// `d²/d(ln v)² = -k/2v` into `curv[i]`, and returns the summed
     /// objective contribution `Σ -½(ln 2π + ln v) - k/2v`.
-    pub fn gaussian_terms(&self, ln_v: &[f64], k: &[f64], grad: &mut [f64]) -> f64 {
+    pub fn gaussian_terms(
+        &self,
+        ln_v: &[f64],
+        k: &[f64],
+        grad: &mut [f64],
+        curv: &mut [f64],
+    ) -> f64 {
         assert_eq!(ln_v.len(), k.len());
         assert_eq!(ln_v.len(), grad.len());
+        assert_eq!(ln_v.len(), curv.len());
         match self.path {
-            KernelPath::Generic => generic::gaussian_terms(ln_v, k, grad),
+            KernelPath::Generic => generic::gaussian_terms(ln_v, k, grad, curv),
             #[cfg(target_arch = "x86_64")]
             #[allow(unsafe_code)]
             // SAFETY: `Avx2` is only constructed when `avx2_available()`.
-            KernelPath::Avx2 => unsafe { avx2::gaussian_terms(ln_v, k, grad) },
+            KernelPath::Avx2 => unsafe { avx2::gaussian_terms(ln_v, k, grad, curv) },
             #[cfg(not(target_arch = "x86_64"))]
             KernelPath::Avx2 => unreachable!("avx2 path on non-x86_64"),
         }
@@ -111,9 +120,10 @@ impl BatchKernels {
     ///
     /// For each `i` with log-variance `ln_v[i]`, posterior hit probability
     /// `p[i]` and precomputed miss constant `c[i] = (1-p[i])·ln(L-1)`,
-    /// writes `(p/q - (1-p)/(1-q))·dq/d ln v` into `grad[i]` and returns
-    /// `Σ p·ln q + (1-p)·ln(1-q) - c`, where `q = erf(ε/√(2v))` clamped
-    /// into `(EPS, 1-EPS)`.
+    /// writes `(p/q - (1-p)/(1-q))·q'` into `grad[i]` and the Gauss–Newton
+    /// curvature `-q'²·(p/q² + (1-p)/(1-q)²)` (always `≤ 0`) into `curv[i]`,
+    /// and returns `Σ p·ln q + (1-p)·ln(1-q) - c`, where
+    /// `q = erf(ε/√(2v))` clamped into `(EPS, 1-EPS)` and `q' = dq/d ln v`.
     pub fn quality_terms(
         &self,
         epsilon: f64,
@@ -121,18 +131,20 @@ impl BatchKernels {
         p: &[f64],
         c: &[f64],
         grad: &mut [f64],
+        curv: &mut [f64],
     ) -> f64 {
         assert_eq!(ln_v.len(), p.len());
         assert_eq!(ln_v.len(), c.len());
         assert_eq!(ln_v.len(), grad.len());
+        assert_eq!(ln_v.len(), curv.len());
         debug_assert!(epsilon > 0.0, "quality link needs ε > 0");
         let scaled = epsilon / SQRT_2;
         match self.path {
-            KernelPath::Generic => generic::quality_terms(scaled, ln_v, p, c, grad),
+            KernelPath::Generic => generic::quality_terms(scaled, ln_v, p, c, grad, curv),
             #[cfg(target_arch = "x86_64")]
             #[allow(unsafe_code)]
             // SAFETY: `Avx2` is only constructed when `avx2_available()`.
-            KernelPath::Avx2 => unsafe { avx2::quality_terms(scaled, ln_v, p, c, grad) },
+            KernelPath::Avx2 => unsafe { avx2::quality_terms(scaled, ln_v, p, c, grad, curv) },
             #[cfg(not(target_arch = "x86_64"))]
             KernelPath::Avx2 => unreachable!("avx2 path on non-x86_64"),
         }
@@ -196,7 +208,8 @@ mod tests {
         let ln_v = sample_ln_v();
         let k: Vec<f64> = ln_v.iter().enumerate().map(|(i, _)| 0.01 + i as f64 * 0.37).collect();
         let mut grad = vec![0.0; ln_v.len()];
-        let total = g.gaussian_terms(&ln_v, &k, &mut grad);
+        let mut curv = vec![0.0; ln_v.len()];
+        let total = g.gaussian_terms(&ln_v, &k, &mut grad, &mut curv);
         let mut naive = 0.0;
         for i in 0..ln_v.len() {
             let v = ln_v[i].exp();
@@ -207,6 +220,12 @@ mod tests {
                 "grad[{i}] = {} vs {}",
                 grad[i],
                 expect
+            );
+            let expect_h = -k[i] / (2.0 * v);
+            assert!(
+                (curv[i] - expect_h).abs() <= 1e-12 * expect_h.abs().max(1.0),
+                "curv[{i}] = {} vs {expect_h}",
+                curv[i]
             );
         }
         assert!((total - naive).abs() <= 1e-9 * naive.abs().max(1.0), "{total} vs {naive}");
@@ -239,7 +258,8 @@ mod tests {
         let card1 = 3.0f64;
         let c: Vec<f64> = p.iter().map(|pi| (1.0 - pi) * card1.ln()).collect();
         let mut grad = vec![0.0; n];
-        let total = g.quality_terms(eps, &ln_v, &p, &c, &mut grad);
+        let mut curv = vec![0.0; n];
+        let total = g.quality_terms(eps, &ln_v, &p, &c, &mut grad, &mut curv);
         let mut naive = 0.0;
         for i in 0..n {
             let x = (eps / SQRT_2) * (-0.5 * ln_v[i]).exp();
@@ -253,6 +273,13 @@ mod tests {
                 grad[i],
                 expect
             );
+            let expect_h = -dq * dq * (p[i] / (q * q) + (1.0 - p[i]) / ((1.0 - q) * (1.0 - q)));
+            assert!(curv[i] <= 0.0, "curv[{i}] = {} is positive", curv[i]);
+            assert!(
+                (curv[i] - expect_h).abs() <= 1e-9 * expect_h.abs().max(1.0),
+                "curv[{i}] = {} vs {expect_h}",
+                curv[i]
+            );
         }
         assert!((total - naive).abs() <= 1e-9 * naive.abs().max(1.0), "{total} vs {naive}");
     }
@@ -260,8 +287,8 @@ mod tests {
     #[test]
     fn empty_slices_are_fine() {
         let k = kernels();
-        assert_eq!(k.gaussian_terms(&[], &[], &mut []), 0.0);
-        assert_eq!(k.quality_terms(1.0, &[], &[], &[], &mut []), 0.0);
+        assert_eq!(k.gaussian_terms(&[], &[], &mut [], &mut []), 0.0);
+        assert_eq!(k.quality_terms(1.0, &[], &[], &[], &mut [], &mut []), 0.0);
     }
 
     #[test]

@@ -65,15 +65,18 @@ fn kernel_paths_bit_equal_on_edge_inputs() {
         let c: Vec<f64> = p.iter().map(|pi| (1.0 - pi) * 3.0f64.ln()).collect();
 
         let (mut gg, mut gw) = (vec![0.0; n], vec![0.0; n]);
-        let sg = g.gaussian_terms(&ln_v, &k, &mut gg);
-        let sw = w.gaussian_terms(&ln_v, &k, &mut gw);
+        let (mut hg, mut hw) = (vec![0.0; n], vec![0.0; n]);
+        let sg = g.gaussian_terms(&ln_v, &k, &mut gg, &mut hg);
+        let sw = w.gaussian_terms(&ln_v, &k, &mut gw, &mut hw);
         assert_eq!(sg.to_bits(), sw.to_bits(), "gaussian sum, eps {eps}");
         assert_bits_eq(&gg, &gw, "gaussian grad");
+        assert_bits_eq(&hg, &hw, "gaussian curv");
 
-        let sg = g.quality_terms(eps, &ln_v, &p, &c, &mut gg);
-        let sw = w.quality_terms(eps, &ln_v, &p, &c, &mut gw);
+        let sg = g.quality_terms(eps, &ln_v, &p, &c, &mut gg, &mut hg);
+        let sw = w.quality_terms(eps, &ln_v, &p, &c, &mut gw, &mut hw);
         assert_eq!(sg.to_bits(), sw.to_bits(), "quality sum, eps {eps}");
         assert_bits_eq(&gg, &gw, "quality grad");
+        assert_bits_eq(&hg, &hw, "quality curv");
 
         let (mut qg, mut qw) = (vec![0.0; n], vec![0.0; n]);
         let (mut dg, mut dw) = (vec![0.0; n], vec![0.0; n]);
@@ -98,14 +101,17 @@ fn kernel_paths_bit_equal_on_every_tail_length() {
         let p: Vec<f64> = (0..n).map(|i| 0.1 + 0.09 * i as f64).collect();
         let c: Vec<f64> = p.iter().map(|pi| (1.0 - pi) * 1.5).collect();
         let (mut gg, mut gw) = (vec![0.0; n], vec![0.0; n]);
-        let sg = g.gaussian_terms(&ln_v, &k, &mut gg);
-        let sw = w.gaussian_terms(&ln_v, &k, &mut gw);
+        let (mut hg, mut hw) = (vec![0.0; n], vec![0.0; n]);
+        let sg = g.gaussian_terms(&ln_v, &k, &mut gg, &mut hg);
+        let sw = w.gaussian_terms(&ln_v, &k, &mut gw, &mut hw);
         assert_eq!(sg.to_bits(), sw.to_bits(), "gaussian sum, n={n}");
         assert_bits_eq(&gg, &gw, "gaussian grad");
-        let sg = g.quality_terms(0.7, &ln_v, &p, &c, &mut gg);
-        let sw = w.quality_terms(0.7, &ln_v, &p, &c, &mut gw);
+        assert_bits_eq(&hg, &hw, "gaussian curv");
+        let sg = g.quality_terms(0.7, &ln_v, &p, &c, &mut gg, &mut hg);
+        let sw = w.quality_terms(0.7, &ln_v, &p, &c, &mut gw, &mut hw);
         assert_eq!(sg.to_bits(), sw.to_bits(), "quality sum, n={n}");
         assert_bits_eq(&gg, &gw, "quality grad");
+        assert_bits_eq(&hg, &hw, "quality curv");
     }
 }
 
@@ -125,11 +131,13 @@ proptest! {
             })
             .collect();
         let (mut gg, mut gw) = (vec![0.0; n], vec![0.0; n]);
-        let sg = g.gaussian_terms(&ln_v, &k, &mut gg);
-        let sw = w.gaussian_terms(&ln_v, &k, &mut gw);
+        let (mut hg, mut hw) = (vec![0.0; n], vec![0.0; n]);
+        let sg = g.gaussian_terms(&ln_v, &k, &mut gg, &mut hg);
+        let sw = w.gaussian_terms(&ln_v, &k, &mut gw, &mut hw);
         prop_assert_eq!(sg.to_bits(), sw.to_bits());
         for i in 0..n {
             prop_assert_eq!(gg[i].to_bits(), gw[i].to_bits());
+            prop_assert_eq!(hg[i].to_bits(), hw[i].to_bits());
         }
     }
 
@@ -147,11 +155,13 @@ proptest! {
         let ln_card1 = ((card - 1) as f64).ln();
         let c: Vec<f64> = p.iter().map(|pi| (1.0 - pi) * ln_card1).collect();
         let (mut gg, mut gw) = (vec![0.0; n], vec![0.0; n]);
-        let sg = g.quality_terms(eps, &ln_v, &p, &c, &mut gg);
-        let sw = w.quality_terms(eps, &ln_v, &p, &c, &mut gw);
+        let (mut hg, mut hw) = (vec![0.0; n], vec![0.0; n]);
+        let sg = g.quality_terms(eps, &ln_v, &p, &c, &mut gg, &mut hg);
+        let sw = w.quality_terms(eps, &ln_v, &p, &c, &mut gw, &mut hw);
         prop_assert_eq!(sg.to_bits(), sw.to_bits());
         for i in 0..n {
             prop_assert_eq!(gg[i].to_bits(), gw[i].to_bits());
+            prop_assert_eq!(hg[i].to_bits(), hw[i].to_bits());
         }
     }
 
@@ -165,7 +175,8 @@ proptest! {
         let n = ln_v.len();
         let k: Vec<f64> = (0..n).map(|i| 0.01 + i as f64 * 0.5).collect();
         let mut grad = vec![0.0; n];
-        let total = g.gaussian_terms(&ln_v, &k, &mut grad);
+        let mut curv = vec![0.0; n];
+        let total = g.gaussian_terms(&ln_v, &k, &mut grad, &mut curv);
         let mut naive = 0.0;
         for i in 0..n {
             let v = ln_v[i].exp();
@@ -174,5 +185,65 @@ proptest! {
             prop_assert!((grad[i] - expect).abs() <= 1e-10 * expect.abs().max(1.0));
         }
         prop_assert!((total - naive).abs() <= 1e-9 * naive.abs().max(1.0));
+    }
+}
+
+/// One kernel evaluation at a single point: `(term, grad, curv)`.
+fn gaussian_at(kern: BatchKernels, ln_v: f64, k: f64) -> (f64, f64, f64) {
+    let (mut g, mut h) = ([0.0], [0.0]);
+    let t = kern.gaussian_terms(&[ln_v], &[k], &mut g, &mut h);
+    (t, g[0], h[0])
+}
+
+fn quality_at(kern: BatchKernels, eps: f64, ln_v: f64, p: f64, c: f64) -> (f64, f64, f64) {
+    let (mut g, mut h) = ([0.0], [0.0]);
+    let t = kern.quality_terms(eps, &[ln_v], &[p], &[c], &mut g, &mut h);
+    (t, g[0], h[0])
+}
+
+/// The curvature the kernels write is a second derivative of the objective
+/// term they sum, checked by central differences of that same term:
+/// exactly `d²/d(ln v)²` for continuous answers, and for categorical ones
+/// the Gauss–Newton form, i.e. the second difference minus the
+/// `(p/q − (1−p)/(1−q))·q''` part (with `q''` itself a central difference of
+/// the kernel's `q'`). At `p = q` that part vanishes, so there the
+/// curvature must match the plain second difference.
+#[test]
+fn curvature_matches_central_second_difference() {
+    let mut kerns = vec![generic()];
+    kerns.extend(wide());
+    let d = 1e-4;
+    for kern in kerns {
+        for i in 0..=40 {
+            let x = -4.0 + i as f64 * 0.2;
+            let k = 0.3 + 0.05 * i as f64;
+            let (f0, _, h) = gaussian_at(kern, x, k);
+            let (fp, ..) = gaussian_at(kern, x + d, k);
+            let (fm, ..) = gaussian_at(kern, x - d, k);
+            let fd = (fp - 2.0 * f0 + fm) / (d * d);
+            assert!((h - fd).abs() <= 1e-5 * (1.0 + fd.abs()), "gaussian at {x}: {h} vs {fd}");
+
+            let eps = 0.5;
+            let mut qd = [[0.0; 1]; 3];
+            let mut dqd = [[0.0; 1]; 3];
+            for (j, xx) in [x - d, x, x + d].into_iter().enumerate() {
+                kern.quality_pairs_from_ln_variance(eps, &[xx], &mut qd[j], &mut dqd[j]);
+            }
+            let q = qd[1][0];
+            let q2 = (dqd[2][0] - dqd[0][0]) / (2.0 * d);
+            for p in [q, 0.05, 0.5, 0.97] {
+                let c = (1.0 - p) * 2.0f64.ln();
+                let (f0, _, h) = quality_at(kern, eps, x, p, c);
+                let (fp, ..) = quality_at(kern, eps, x + d, p, c);
+                let (fm, ..) = quality_at(kern, eps, x - d, p, c);
+                let fd = (fp - 2.0 * f0 + fm) / (d * d);
+                let gauss_newton = fd - (p / q - (1.0 - p) / (1.0 - q)) * q2;
+                assert!(h <= 0.0, "categorical curvature {h} > 0 at {x}");
+                assert!(
+                    (h - gauss_newton).abs() <= 1e-4 * (1.0 + gauss_newton.abs()),
+                    "categorical at {x}, p {p}: {h} vs {gauss_newton} (raw {fd})"
+                );
+            }
+        }
     }
 }

@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use tcrowd_stat::describe;
 use tcrowd_stat::entropy::shannon;
 use tcrowd_stat::normal::Normal;
-use tcrowd_stat::optimize::{gradient_ascent, AscentOptions};
+use tcrowd_stat::optimize::{gradient_ascent_with, AscentOptions};
 use tcrowd_stat::special::{chi_square_cdf, chi_square_quantile, erf, erf_inv, std_normal_cdf};
 use tcrowd_stat::{Bernoulli, BivariateNormal};
 
@@ -126,13 +126,14 @@ proptest! {
         cx in -10.0f64..10.0,
         cy in -10.0f64..10.0,
     ) {
-        let f = move |x: &[f64]| {
-            let v = -(x[0] - cx).powi(2) - 0.5 * (x[1] - cy).powi(2);
-            (v, vec![-2.0 * (x[0] - cx), -(x[1] - cy)])
+        let f = move |x: &[f64], g: &mut [f64]| {
+            g[0] = -2.0 * (x[0] - cx);
+            g[1] = -(x[1] - cy);
+            -(x[0] - cx).powi(2) - 0.5 * (x[1] - cy).powi(2)
         };
         let start = [x0, y0];
-        let (v0, _) = f(&start);
-        let res = gradient_ascent(f, &start, &AscentOptions::default());
+        let v0 = f(&start, &mut [0.0; 2]);
+        let res = gradient_ascent_with(f, &start, &AscentOptions::default());
         prop_assert!(res.value >= v0 - 1e-12);
     }
 }
