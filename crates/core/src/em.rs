@@ -30,7 +30,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 use tcrowd_stat::batch::{kernels, BatchKernels};
 use tcrowd_stat::normal::Normal;
-use tcrowd_stat::optimize::{backtrack, newton_direction, NewtonOptions};
+use tcrowd_stat::optimize::{block_newton, NewtonBlock, NewtonOptions};
 use tcrowd_stat::{clamp_prob, EPS};
 
 /// Options controlling the EM loop.
@@ -41,7 +41,7 @@ pub struct EmOptions {
     pub max_iters: usize,
     /// Relative ELBO-improvement threshold for convergence (the paper uses
     /// 1e-5 on parameter changes; an ELBO criterion is equivalent in practice
-    /// and cheaper to evaluate).
+    /// and cheaper to evaluate). `0` disables it.
     pub tol: f64,
     /// Optional parameter-change convergence criterion: also stop once the
     /// largest absolute change of any log-parameter across one EM iteration
@@ -101,9 +101,8 @@ pub struct EmOptions {
     /// numbers, only wall-clock.
     pub threads: usize,
     /// The M-step's block-coordinate diagonal-Newton ascent: how many
-    /// φ → α → β sweeps one M-step may take, the objective gain below which
-    /// a block is left alone and the sweeps stop, and how often a block's
-    /// step may be halved before the block is left where it is.
+    /// φ → α → β sweeps one M-step may take, and the objective gain below
+    /// which a block is left alone and the sweeps stop.
     pub mstep: NewtonOptions,
 }
 
@@ -122,25 +121,30 @@ impl Default for EmOptions {
             parallel_estep: cfg!(feature = "parallel"),
             parallel_mstep: cfg!(feature = "parallel"),
             threads: 0,
-            mstep: NewtonOptions { max_sweeps: 2, tol: 1e-8, max_backtracks: 10 },
+            mstep: NewtonOptions { max_sweeps: 2, tol: 1e-8 },
         }
     }
 }
 
 impl EmOptions {
-    /// Preset for fixed-point-accurate fits: tight parameter-change
-    /// criterion, M-steps run to a tight tolerance over many sweeps,
-    /// generous iteration caps. Far slower
-    /// than the default and unnecessary for production estimates — use it
-    /// when two runs must land on the *same* optimum to high precision
-    /// (the warm-vs-cold 1e-6 agreement contract shared by the sim
-    /// regression suite and `bench_refresh`).
+    /// Preset for fixed-point-accurate fits: convergence judged on the
+    /// parameters alone, M-steps run to a tight tolerance, generous
+    /// iteration caps. Far slower than the default and unnecessary for
+    /// production estimates — use it when two runs must land on the *same*
+    /// optimum to high precision (the warm-vs-cold 1e-6 agreement contract
+    /// shared by the sim regression suite and `bench_refresh`).
+    ///
+    /// The ELBO criterion is off (`tol = 0`): a relative threshold small
+    /// enough not to leave `√tol` parameter slack sits at the rounding floor
+    /// of the ELBO sum itself, so it fires at random, and the more exact the
+    /// M-step, the earlier (at `tol = 1e-14` with 20 sweeps per M-step,
+    /// warm and cold fits of the 1000×10 table stop 1.2e-6 apart).
     pub fn deep_convergence() -> Self {
         EmOptions {
-            tol: 1e-14,
+            tol: 0.0,
             param_tol: 3e-8,
             max_iters: 600,
-            mstep: NewtonOptions { max_sweeps: 5, tol: 1e-13, ..EmOptions::default().mstep },
+            mstep: NewtonOptions { max_sweeps: 5, tol: 1e-13 },
             ..Default::default()
         }
     }
@@ -798,17 +802,6 @@ fn eval_answers(
     tasks.iter().map(|t| t.lock().expect("mstep chunk mutex").q).sum()
 }
 
-/// The M-step's parameter blocks, in sweep order.
-#[derive(Debug, Clone, Copy)]
-enum Block {
-    /// Worker variances `ln φ_u`.
-    Phi,
-    /// Row difficulties `ln α_i`.
-    Alpha,
-    /// Column difficulties `ln β_j`.
-    Beta,
-}
-
 /// Log-density of the MAP priors at `(ln α, ln β, ln φ)` (see the field
 /// docs on [`EmOptions`]); frozen difficulty blocks carry no prior.
 fn log_prior(ws: &Workspace, opts: &EmOptions, la: &[f64], lb: &[f64], lp: &[f64]) -> f64 {
@@ -853,16 +846,16 @@ fn mstep_objective(
     answers + log_prior(ws, opts, la, lb, lp)
 }
 
-/// Sum the staged per-answer gradient and curvature into one block's `n`
+/// Add the staged per-answer gradient and curvature into one block's
 /// coordinates, serially in fixed run order (continuous run, then
 /// categorical) — so the result is the same at any M-step thread count.
 fn scatter_block(
     cont_idx: &[u32],
     cat_idx: &[u32],
     scratch: &EmScratch,
-    n: usize,
-) -> (Vec<f64>, Vec<f64>) {
-    let (mut grad, mut curv) = (vec![0.0; n], vec![0.0; n]);
+    grad: &mut [f64],
+    curv: &mut [f64],
+) {
     for (j, &k) in cont_idx.iter().enumerate() {
         grad[k as usize] += scratch.cont_g[j];
         curv[k as usize] += scratch.cont_h[j];
@@ -871,26 +864,20 @@ fn scatter_block(
         grad[k as usize] += scratch.cat_g[j];
         curv[k as usize] += scratch.cat_h[j];
     }
-    (grad, curv)
 }
 
-/// M-step (Eq. 5): block-coordinate diagonal-Newton ascent on the expected
-/// complete-data log-likelihood plus the MAP priors, over the active
-/// log-parameters. Returns the number of objective evaluations.
+/// M-step (Eq. 5): block-coordinate diagonal-Newton ascent
+/// ([`block_newton`]) on the expected complete-data log-likelihood plus the
+/// MAP priors, over the active log-parameters. Returns the number of
+/// objective evaluations.
 ///
 /// One sweep steps the blocks φ, α, β in turn (frozen difficulty blocks are
-/// skipped). For a block, the per-answer gradient and curvature the last
-/// evaluation staged are scattered into the block's coordinates, the
-/// prior's terms are added, and every coordinate moves by
-/// `Δ_k = g_k / (λ − h_k)` clipped to ±1 ([`newton_direction`]). Within a
-/// block the Hessian is exactly diagonal — each answer touches one worker,
-/// one row and one column — so this is a Newton step up to the
-/// Gauss–Newton approximation of the categorical curvature. The step is
-/// halved until the objective strictly improves ([`backtrack`]), which
-/// keeps every M-step monotone; the accepting evaluation stages the
-/// gradient and curvature the next block starts from. A block whose
-/// predicted gain is below `opts.mstep.tol` is not stepped, and the sweeps
-/// stop once one gains less than that tolerance.
+/// held fixed). Every answer touches one worker, one row and one column, so
+/// within a block the Hessian is exactly diagonal, and the block's gradient
+/// and curvature are the per-answer ones the batch kernels staged, summed
+/// per coordinate. The step is therefore a Newton step up to the
+/// Gauss–Newton approximation of the categorical curvature, halved until
+/// the objective strictly improves.
 fn m_step(
     ws: &Workspace,
     state: &mut EmState,
@@ -900,74 +887,35 @@ fn m_step(
     pool: Option<&WorkerPool>,
 ) -> usize {
     build_cache(ws, &state.truths, scratch);
-    let newton = opts.mstep;
-    let bound = opts.ln_param_bound;
     let phi_center = initial_phi(ws.epsilon, opts.init_quality).ln();
-    let objective = |la: &[f64], lb: &[f64], lp: &[f64], scratch: &mut EmScratch| {
-        mstep_objective(ws, opts, la, lb, lp, kern, scratch, pool)
-    };
-    let mut value = objective(&state.ln_alpha, &state.ln_beta, &state.ln_phi, scratch);
-    let mut evals = 1;
-    // Whether the staged per-answer derivatives belong to the current point
-    // (a fully rejected line search leaves its last trial's there).
-    let mut fresh = true;
-    for _ in 0..newton.max_sweeps {
-        let sweep_start = value;
-        for block in [Block::Phi, Block::Alpha, Block::Beta] {
-            let (lambda, center) = match block {
-                Block::Phi => (opts.phi_prior_strength, phi_center),
-                Block::Alpha if opts.learn_row_difficulty => (opts.difficulty_prior_strength, 0.0),
-                Block::Beta if opts.learn_col_difficulty => (opts.difficulty_prior_strength, 0.0),
-                _ => continue,
+    let difficulty = opts.difficulty_prior_strength;
+    let mut blocks = [
+        NewtonBlock { x: &mut state.ln_phi, prior: Some((opts.phi_prior_strength, phi_center)) },
+        NewtonBlock {
+            x: &mut state.ln_alpha,
+            prior: opts.learn_row_difficulty.then_some((difficulty, 0.0)),
+        },
+        NewtonBlock {
+            x: &mut state.ln_beta,
+            prior: opts.learn_col_difficulty.then_some((difficulty, 0.0)),
+        },
+    ];
+    let r = &ws.runs;
+    block_newton(
+        &opts.mstep,
+        opts.ln_param_bound,
+        &mut blocks,
+        scratch,
+        |scratch, [lp, la, lb]| mstep_objective(ws, opts, la, lb, lp, kern, scratch, pool),
+        |scratch, b, grad, curv| {
+            let (cont_idx, cat_idx) = match b {
+                0 => (&r.cont_worker, &r.cat_worker),
+                1 => (&r.cont_row, &r.cat_row),
+                _ => (&r.cont_col, &r.cat_col),
             };
-            if !fresh {
-                value = objective(&state.ln_alpha, &state.ln_beta, &state.ln_phi, scratch);
-                evals += 1;
-                fresh = true;
-            }
-            let r = &ws.runs;
-            let (cont_idx, cat_idx, x) = match block {
-                Block::Phi => (&r.cont_worker, &r.cat_worker, &state.ln_phi),
-                Block::Alpha => (&r.cont_row, &r.cat_row, &state.ln_alpha),
-                Block::Beta => (&r.cont_col, &r.cat_col, &state.ln_beta),
-            };
-            let (mut grad, curv) = scatter_block(cont_idx, cat_idx, scratch, x.len());
-            for (g, &v) in grad.iter_mut().zip(x.iter()) {
-                *g -= lambda * (v - center);
-            }
-            let mut dir = vec![0.0; x.len()];
-            let mut trial = vec![0.0; x.len()];
-            let gain = newton_direction(&grad, &curv, lambda, &mut dir);
-            let (accepted, n_evals) = if gain > newton.tol {
-                let (la, lb, lp) = (&state.ln_alpha, &state.ln_beta, &state.ln_phi);
-                backtrack(x, &dir, value, bound, newton.max_backtracks, &mut trial, |t| match block
-                {
-                    Block::Phi => objective(la, lb, t, scratch),
-                    Block::Alpha => objective(t, lb, lp, scratch),
-                    Block::Beta => objective(la, t, lp, scratch),
-                })
-            } else {
-                (None, 0)
-            };
-            evals += n_evals;
-            match accepted {
-                Some(v) => {
-                    value = v;
-                    let target = match block {
-                        Block::Phi => &mut state.ln_phi,
-                        Block::Alpha => &mut state.ln_alpha,
-                        Block::Beta => &mut state.ln_beta,
-                    };
-                    target.copy_from_slice(&trial);
-                }
-                None => fresh = fresh && n_evals == 0,
-            }
-        }
-        if value - sweep_start < newton.tol {
-            break;
-        }
-    }
-    evals
+            scatter_block(cont_idx, cat_idx, scratch, grad, curv);
+        },
+    )
 }
 
 /// Identifiability polish applied once after EM converges: set the geometric
@@ -1061,7 +1009,7 @@ mod tests {
     use crate::model::{quality_dlnv, quality_from_variance};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use tcrowd_stat::optimize::numerical_gradient;
+    use tcrowd_stat::optimize::{numerical_gradient, MAX_BACKTRACKS};
     use tcrowd_stat::sample::{sample_std_normal, sample_weighted};
 
     /// Build a small synthetic workspace directly (bypassing the public API)
@@ -1319,7 +1267,7 @@ mod tests {
                 let after = objective(&state, &mut scratch);
                 assert!(after >= before, "M-step lowered its objective: {before} -> {after}");
                 assert!(evals >= 1);
-                assert!(evals <= 1 + opts.mstep.max_sweeps * 3 * (opts.mstep.max_backtracks + 2));
+                assert!(evals <= 1 + opts.mstep.max_sweeps * 3 * (MAX_BACKTRACKS + 2));
             }
         }
     }

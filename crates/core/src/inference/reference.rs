@@ -26,7 +26,7 @@ use std::collections::HashMap;
 use tcrowd_stat::clamp_prob;
 use tcrowd_stat::describe::{median, std_dev, zscore_params};
 use tcrowd_stat::normal::Normal;
-use tcrowd_stat::optimize::{backtrack, newton_direction};
+use tcrowd_stat::optimize::{block_newton, NewtonBlock};
 use tcrowd_tabular::{AnswerLog, ColumnType, Schema, Value, WorkerId};
 
 const LN_2PI: f64 = 1.8378770664093453;
@@ -307,8 +307,8 @@ fn run_em_reference(
     };
 
     // The M-step: the columnar engine's block-coordinate diagonal-Newton
-    // ascent (`em::m_step`), every sum taken per answer through the hash
-    // indexes.
+    // ascent (`em::m_step`, the shared `block_newton` driver), every sum
+    // taken per answer through the hash indexes.
     let m_step = |truths: &[TruthDist], la: &mut Vec<f64>, lb: &mut Vec<f64>, lp: &mut Vec<f64>| {
         // Per-answer sufficient statistics (dense, like the seed's cache).
         let mut cont_k = vec![0.0; ws.answers.len()];
@@ -368,30 +368,20 @@ fn run_em_reference(
             q_val + log_prior(xa, xb, xp)
         };
 
+        let d = opts.difficulty_prior_strength;
+        let mut blocks = [
+            NewtonBlock { x: lp, prior: Some((opts.phi_prior_strength, phi_center)) },
+            NewtonBlock { x: la, prior: learn_a.then_some((d, 0.0)) },
+            NewtonBlock { x: lb, prior: learn_b.then_some((d, 0.0)) },
+        ];
         let n = ws.answers.len();
-        let (mut g, mut h) = (vec![0.0; n], vec![0.0; n]);
-        let mut value = objective(la, lb, lp, &mut g, &mut h);
-        let mut fresh = true;
-        for _ in 0..opts.mstep.max_sweeps {
-            let sweep_start = value;
-            for block in 0..3 {
-                let (lambda, center) = match block {
-                    0 => (opts.phi_prior_strength, phi_center),
-                    1 if learn_a => (opts.difficulty_prior_strength, 0.0),
-                    2 if learn_b => (opts.difficulty_prior_strength, 0.0),
-                    _ => continue,
-                };
-                if !fresh {
-                    value = objective(la, lb, lp, &mut g, &mut h);
-                    fresh = true;
-                }
-                let x: &[f64] = match block {
-                    0 => lp,
-                    1 => la,
-                    _ => lb,
-                };
-                let mut grad = vec![0.0; x.len()];
-                let mut curv = vec![0.0; x.len()];
+        block_newton(
+            &opts.mstep,
+            bound,
+            &mut blocks,
+            &mut (vec![0.0; n], vec![0.0; n]),
+            |(g, h), [xp, xa, xb]| objective(xa, xb, xp, g, h),
+            |(g, h), block, grad, curv| {
                 for (i, a) in ws.answers.iter().enumerate() {
                     let k = match block {
                         0 => ws.worker_index[&a.worker] as usize,
@@ -401,39 +391,8 @@ fn run_em_reference(
                     grad[k] += g[i];
                     curv[k] += h[i];
                 }
-                for (gk, &v) in grad.iter_mut().zip(x) {
-                    *gk -= lambda * (v - center);
-                }
-                let mut dir = vec![0.0; x.len()];
-                let mut trial = vec![0.0; x.len()];
-                let gain = newton_direction(&grad, &curv, lambda, &mut dir);
-                let (accepted, n_evals) = if gain > opts.mstep.tol {
-                    backtrack(x, &dir, value, bound, opts.mstep.max_backtracks, &mut trial, |t| {
-                        match block {
-                            0 => objective(la, lb, t, &mut g, &mut h),
-                            1 => objective(t, lb, lp, &mut g, &mut h),
-                            _ => objective(la, t, lp, &mut g, &mut h),
-                        }
-                    })
-                } else {
-                    (None, 0)
-                };
-                match accepted {
-                    Some(v) => {
-                        value = v;
-                        match block {
-                            0 => lp.copy_from_slice(&trial),
-                            1 => la.copy_from_slice(&trial),
-                            _ => lb.copy_from_slice(&trial),
-                        }
-                    }
-                    None => fresh = fresh && n_evals == 0,
-                }
-            }
-            if value - sweep_start < opts.mstep.tol {
-                break;
-            }
-        }
+            },
+        );
     };
 
     e_step(&mut truths, &ln_alpha, &ln_beta, &ln_phi);

@@ -1647,16 +1647,17 @@ impl TableState {
         if self.is_deleted() {
             return;
         }
+        // The chain mutex serialises read → check → write → advance: the
+        // snapshot is read under it, so a slower writer can never write a
+        // snapshot (or a fit) that a faster one already superseded, nor
+        // chain a delta from a position that one left behind.
+        let mut chain = lock_recover(&d.chain);
         let snap = self.snapshot();
         if snap.epoch as u64 != pos.answers {
             // A racing persist captured a different epoch; the call whose
             // position matches its snapshot will write the pair.
             return;
         }
-        // The chain mutex serialises check → write → advance, so a slower
-        // writer can never chain a delta from (or rename a base over) a
-        // position the faster one already superseded.
-        let mut chain = lock_recover(&d.chain);
         let fit = FitParams::of(&snap.result);
         let same_fit = chain.fit.as_ref() == Some(&fit);
         if chain.has_base
@@ -2475,5 +2476,71 @@ mod tests {
             }
         }
         t.stop_refresher();
+    }
+
+    /// A persist held at the chain lock while a new fit is published at the
+    /// same epoch (the settling refit after a catch-up publish) must write
+    /// the new fit, not the one published when it started: the snapshot it
+    /// persists is read under the chain lock.
+    #[test]
+    fn persist_held_at_the_chain_lock_writes_the_fit_published_meanwhile() {
+        let dir =
+            std::env::temp_dir().join(format!("tcrowd_table_persist_race_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let store = tcrowd_store::Store::open(&dir, tcrowd_store::FsyncPolicy::Flush).unwrap();
+        let reg = crate::registry::TableRegistry::with_store(Arc::new(store));
+        let d = generate_dataset(
+            &GeneratorConfig {
+                rows: 12,
+                columns: 3,
+                num_workers: 8,
+                answers_per_task: 3,
+                ..Default::default()
+            },
+            5,
+        );
+        let config = TableConfig {
+            refit_every: usize::MAX,
+            refresh_interval: Duration::from_secs(3600),
+            ..Default::default()
+        };
+        let t = reg.create(Some("race".into()), d.schema.clone(), d.rows(), config).unwrap();
+        t.submit(d.answers.all()).unwrap();
+        assert!(t.refresh_now());
+        let first = t.snapshot();
+        let chain = &t.durability.as_ref().expect("durable table").chain;
+        assert_eq!(lock_recover(chain).fit, Some(FitParams::of(&first.result)));
+        // Another fit of the same log: what a settling refit publishes.
+        let em = tcrowd_core::EmOptions { max_iters: 1, ..Default::default() };
+        let settled = TCrowd::new(tcrowd_core::TCrowdOptions { em, ..Default::default() })
+            .infer(&d.schema, &d.answers);
+        let settled_fit = FitParams::of(&settled);
+        assert_ne!(Some(&settled_fit), lock_recover(chain).fit.as_ref());
+
+        let held = lock_recover(chain);
+        std::thread::scope(|s| {
+            let persist = s.spawn(|| t.persist_store_snapshot());
+            // Let the persist reach the chain lock, then publish the new fit
+            // at the unchanged epoch before letting it through.
+            std::thread::sleep(Duration::from_millis(100));
+            *t.published.write().unwrap() = Arc::new(Snapshot {
+                log: first.log.clone(),
+                matrix: Arc::clone(&first.matrix),
+                result: settled,
+                correlation: first.correlation.clone(),
+                epoch: first.epoch,
+                fitted_epoch: first.fitted_epoch,
+                catchup_merged: 0,
+                last_refit_ms: 0.0,
+                refreshes: first.refreshes + 1,
+                published_at: Instant::now(),
+                trust: Arc::clone(&first.trust),
+            });
+            drop(held);
+            persist.join().unwrap();
+        });
+        assert_eq!(lock_recover(chain).fit, Some(settled_fit), "the persisted fit is stale");
+        reg.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

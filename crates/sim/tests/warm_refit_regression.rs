@@ -83,6 +83,38 @@ fn warm_refit_chain_matches_cold_fit_within_1e6() {
     }
 }
 
+/// The warm ≡ cold contract must not hinge on how exact each M-step is:
+/// the deep preset judges convergence on the parameters alone, so a more
+/// exact M-step (more sweeps) cannot end the run early. With an ELBO
+/// criterion at its rounding floor (`tol = 1e-14`), 20 sweeps stop this
+/// pair of fits 1.2e-6 apart.
+#[test]
+fn warm_matches_cold_at_every_mstep_sweep_cap() {
+    let d = generate_dataset(
+        &GeneratorConfig { rows: 40, columns: 10, answers_per_task: 5, ..Default::default() },
+        1,
+    );
+    let mut stream = d.answers.all().to_vec();
+    stream.shuffle(&mut StdRng::seed_from_u64(99));
+    let n = stream.len();
+    let mut log = AnswerLog::new(d.rows(), d.cols());
+    for a in &stream[..n - 50] {
+        log.push(*a);
+    }
+    let prev_matrix = AnswerMatrix::build(&log);
+    let merged = prev_matrix.merge_delta(&stream[n - 50..]);
+    for max_sweeps in [1, 2, 5, 20] {
+        let mut em = EmOptions::deep_convergence();
+        em.mstep.max_sweeps = max_sweeps;
+        let model = TCrowd::new(TCrowdOptions { em, ..Default::default() });
+        let prev = model.infer_matrix(&d.schema, &prev_matrix);
+        let warm = model.infer_matrix_warm(&d.schema, &merged, &prev);
+        let cold = model.infer_matrix(&d.schema, &merged);
+        let gap = max_z_discrepancy(&warm, &cold);
+        assert!(gap < 1e-6, "{max_sweeps} sweeps: warm and cold fits {gap:.3e} apart");
+    }
+}
+
 #[test]
 fn runner_with_warm_refits_produces_sound_estimates() {
     // End-to-end: the Runner now delta-merges its freeze and warm-starts
