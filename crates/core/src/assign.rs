@@ -12,10 +12,20 @@
 //!
 //! Batched assignment (§5.3) greedily takes the top-K candidates; because
 //! distinct cells have independent posteriors, the sum in Eq. 9 decomposes
-//! and top-K is exactly the greedy optimum. A sequential mode that refreshes
-//! the picked cell's posterior between picks is provided for completeness.
+//! and top-K is exactly the greedy optimum.
+//!
+//! Both policies (and the entity-aware extension) score through one
+//! request-scoped pass, `select_by_gain`: the candidate set is a bitmap
+//! cleared from the worker's own answer run, the worker's `φ` is resolved
+//! once, the row errors `L^u_i` are read per row from the freeze's
+//! by-(worker, row) view, each candidate costs a handful of arithmetic
+//! operations and logarithms with no allocation, and the top `k` are
+//! selected partially (`select_nth_unstable_by`) before the `k` winners are
+//! sorted.
 
-use crate::correlation::{observe_error, CorrelationModel, ErrorObservation, PredictedError};
+use crate::correlation::{
+    mixture_moments, observe_error, CorrelationModel, ErrorObservation, Prediction,
+};
 use crate::gain::{gain_with_params, GainEstimator};
 use crate::inference::InferenceResult;
 use crate::model::quality_from_variance;
@@ -23,7 +33,7 @@ use crate::truth::TruthDist;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cmp::Ordering;
-use tcrowd_stat::clamp_prob;
+use tcrowd_stat::{clamp_prob, EPS};
 use tcrowd_tabular::{AnswerMatrix, AnswerQueries, CellId, FrozenView, Schema, Value, WorkerId};
 
 /// Everything a policy may consult when selecting tasks.
@@ -49,8 +59,11 @@ pub struct AssignmentContext<'a> {
     /// Optional per-cell redundancy cap: cells that already have this many
     /// answers are not assigned again.
     pub max_answers_per_cell: Option<usize>,
-    /// Cells terminated by an adaptive stopping rule (confidence reached);
-    /// they are excluded from assignment. `None` means nothing terminated.
+    /// Cells excluded from assignment on top of the worker's own answers in
+    /// [`Self::answers`]: cells terminated by an adaptive stopping rule
+    /// (confidence reached), or — in a serving layer whose freeze trails its
+    /// log — the cells the worker answered since the freeze. `None` means
+    /// nothing extra is excluded.
     pub terminated: Option<&'a std::collections::HashSet<CellId>>,
     /// A pre-fitted correlation model of [`Self::freeze`] +
     /// [`Self::inference`]. The model is a pure function of the two, so
@@ -81,28 +94,74 @@ impl<'a> AssignmentContext<'a> {
         self.freeze.epoch()
     }
 
-    /// Cells the worker may be assigned: not yet answered by this worker and
+    /// Cells the worker may be assigned: not yet answered by this worker
+    /// (neither in [`Self::answers`] nor among [`Self::terminated`]) and
     /// under the redundancy cap. Enumerates the table in row-major order.
     pub fn candidates(&self, worker: WorkerId) -> Vec<CellId> {
+        self.candidate_mask(worker).cells().collect()
+    }
+
+    /// [`Self::candidates`] as a row-major bitmap: every cell set, then the
+    /// worker's own answers cleared from their by-worker run
+    /// (`O(answers by the worker)`) and the excluded cells cleared from
+    /// their set — no per-cell membership query unless a redundancy cap
+    /// asks for per-cell counts.
+    pub(crate) fn candidate_mask(&self, worker: WorkerId) -> CandidateMask {
         let (rows, cols) = (self.answers.rows(), self.answers.cols());
-        let mut out = Vec::new();
-        for slot in 0..rows * cols {
-            let c = CellId::new((slot / cols) as u32, (slot % cols) as u32);
-            if let Some(cap) = self.max_answers_per_cell {
+        let n = rows * cols;
+        let mut words = vec![u64::MAX; n.div_ceil(64)];
+        if n % 64 != 0 {
+            words[n / 64] = (1u64 << (n % 64)) - 1;
+        }
+        let mut clear = |c: CellId| {
+            if (c.row as usize) < rows && (c.col as usize) < cols {
+                let slot = c.row as usize * cols + c.col as usize;
+                words[slot / 64] &= !(1u64 << (slot % 64));
+            }
+        };
+        self.answers.for_each_answered_cell(worker, &mut clear);
+        if let Some(stopped) = self.terminated {
+            stopped.iter().for_each(|&c| clear(c));
+        }
+        if let Some(cap) = self.max_answers_per_cell {
+            for slot in 0..n {
+                let c = CellId::new((slot / cols) as u32, (slot % cols) as u32);
                 if self.answers.count_for_cell(c) >= cap {
-                    continue;
+                    clear(c);
                 }
-            }
-            if let Some(stopped) = self.terminated {
-                if stopped.contains(&c) {
-                    continue;
-                }
-            }
-            if !self.answers.has_answered(worker, c) {
-                out.push(c);
             }
         }
-        out
+        CandidateMask { words, cols }
+    }
+}
+
+/// Row-major bitmap over a table's cells (see
+/// [`AssignmentContext::candidate_mask`]).
+pub(crate) struct CandidateMask {
+    words: Vec<u64>,
+    cols: usize,
+}
+
+impl CandidateMask {
+    /// Number of candidate cells.
+    pub(crate) fn len(&self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// The candidate cells in row-major order.
+    pub(crate) fn cells(&self) -> impl Iterator<Item = CellId> + '_ {
+        let cols = self.cols;
+        self.words.iter().enumerate().flat_map(move |(i, &word)| {
+            let mut bits = word;
+            std::iter::from_fn(move || {
+                if bits == 0 {
+                    return None;
+                }
+                let slot = i * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                Some(CellId::new((slot / cols) as u32, (slot % cols) as u32))
+            })
+        })
     }
 }
 
@@ -116,20 +175,6 @@ pub trait AssignmentPolicy {
     fn select(&mut self, worker: WorkerId, k: usize, ctx: &AssignmentContext<'_>) -> Vec<CellId>;
 }
 
-/// Batch-selection strategy for multi-task HITs (§5.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BatchMode {
-    /// Take the K candidates with the largest individual gain (the paper's
-    /// greedy; exact here because per-cell gains are independent).
-    #[default]
-    TopK,
-    /// After each pick, replace the picked cell's posterior with its expected
-    /// post-answer posterior and re-rank. Differs from `TopK` only through
-    /// the removal of the picked cell, so results coincide; kept as an
-    /// extension point for policies with inter-cell coupling.
-    SequentialGreedy,
-}
-
 /// Total order on gains with NaN below every number: a degenerate gain
 /// (e.g. from a broken posterior) ranks its cell last instead of panicking
 /// the request that asked for an assignment.
@@ -138,12 +183,95 @@ fn cmp_gain(a: f64, b: f64) -> Ordering {
     key(a).partial_cmp(&key(b)).unwrap_or(Ordering::Equal)
 }
 
-/// Rank `candidates` by `gain` and return the top `k` (ties and NaN gains
-/// broken by cell order).
-pub(crate) fn top_k_by_gain(candidates: Vec<CellId>, gains: Vec<f64>, k: usize) -> Vec<CellId> {
-    let mut order: Vec<usize> = (0..candidates.len()).collect();
-    order.sort_by(|&a, &b| cmp_gain(gains[b], gains[a]).then(candidates[a].cmp(&candidates[b])));
-    order.into_iter().take(k).map(|i| candidates[i]).collect()
+/// The `k` highest-gain cells of `scored`, best first (ties and NaN gains
+/// broken by cell order). The ranking is a total order — cells are
+/// distinct — so a partial selection followed by a sort of the `k` winners
+/// returns exactly the first `k` of a full sort, in `O(n + k log k)`.
+pub(crate) fn top_k_by_gain(mut scored: Vec<(f64, CellId)>, k: usize) -> Vec<CellId> {
+    let rank = |a: &(f64, CellId), b: &(f64, CellId)| cmp_gain(b.0, a.0).then(a.1.cmp(&b.1));
+    if k == 0 {
+        return Vec::new();
+    }
+    if k < scored.len() {
+        scored.select_nth_unstable_by(k - 1, rank);
+        scored.truncate(k);
+    }
+    scored.sort_unstable_by(rank);
+    scored.into_iter().map(|(_, c)| c).collect()
+}
+
+/// Score every candidate of `worker` by information gain and return the top
+/// `k` — the one scoring pass behind [`InherentGainPolicy`],
+/// [`StructureAwarePolicy`] and [`crate::EntityAwarePolicy`].
+///
+/// A candidate's answer variance is `λ(row) · α_i β_j φ_u` (`λ` is the
+/// entity-familiarity multiplier, 1 for the paper's policies) and its
+/// quality the erf link of that variance. With a `correlation` model the
+/// pair is blended with the Eq. 7 prediction from the worker's errors on
+/// the same row (`L^u_i`, read once per row from the freeze's
+/// by-(worker, row) view): the categorical quality is averaged with the
+/// structural one, the continuous variance geometrically with the
+/// mixture's second moment.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn select_by_gain(
+    ctx: &AssignmentContext<'_>,
+    worker: WorkerId,
+    k: usize,
+    inference: &InferenceResult,
+    estimator: GainEstimator,
+    correlation: Option<&CorrelationModel>,
+    lambda: impl Fn(u32) -> f64,
+    rng: &mut StdRng,
+) -> Vec<CellId> {
+    let phi = inference.phi_or_prior(worker);
+    let epsilon = inference.epsilon;
+    let mask = ctx.candidate_mask(worker);
+    // Row errors exist only for a worker the freeze has seen.
+    let history = correlation.and_then(|model| {
+        let matrix = ctx.matrix();
+        matrix.worker_index(worker).map(|w| (model, matrix, w))
+    });
+    let mut observed: Vec<(usize, ErrorObservation)> = Vec::new();
+    let mut observed_row = None;
+    let mut mix = Vec::new();
+    let mut scored = Vec::with_capacity(mask.len());
+    for cell in mask.cells() {
+        let (row, col) = (cell.row as usize, cell.col as usize);
+        let v_inherent = lambda(cell.row) * (inference.alpha[row] * inference.beta[col] * phi);
+        let q_inherent = quality_from_variance(epsilon, v_inherent);
+        let (v, q) = match history {
+            None => (v_inherent, q_inherent),
+            Some((model, matrix, w)) => {
+                if observed_row != Some(cell.row) {
+                    observed.clear();
+                    for &a in matrix.worker_row_answer_indices(w, cell.row) {
+                        let answer = matrix.to_answer(a as usize);
+                        observed
+                            .push((answer.cell.col as usize, observe_error(inference, &answer)));
+                    }
+                    observed_row = Some(cell.row);
+                }
+                match model.predict_into(col, &observed, &mut mix) {
+                    Some(Prediction::Categorical(p_wrong)) => {
+                        // Both carry information about this worker on
+                        // this cell: average the structural quality in.
+                        (v_inherent, 0.5 * (clamp_prob(1.0 - p_wrong) + q_inherent))
+                    }
+                    Some(Prediction::Mixture) => match mixture_moments(&mix) {
+                        Some((_, var)) => {
+                            // Same blend on the variance scale.
+                            let v = (var.max(EPS) * v_inherent).sqrt();
+                            (v, quality_from_variance(epsilon, v))
+                        }
+                        None => (v_inherent, q_inherent),
+                    },
+                    None => (v_inherent, q_inherent),
+                }
+            }
+        };
+        scored.push((gain_with_params(inference.truth_z(cell), v, q, estimator, rng), cell));
+    }
+    top_k_by_gain(scored, k)
 }
 
 /// T-Crowd's inherent information-gain policy (§5.1).
@@ -151,8 +279,6 @@ pub(crate) fn top_k_by_gain(candidates: Vec<CellId>, gains: Vec<f64>, k: usize) 
 pub struct InherentGainPolicy {
     /// Expected-entropy estimator for continuous cells.
     pub estimator: GainEstimator,
-    /// Batch strategy.
-    pub batch: BatchMode,
     rng: StdRng,
 }
 
@@ -160,17 +286,7 @@ impl InherentGainPolicy {
     /// Create with the given estimator (RNG only used by the sampling
     /// estimator; seeded for reproducibility).
     pub fn new(estimator: GainEstimator) -> Self {
-        InherentGainPolicy {
-            estimator,
-            batch: BatchMode::default(),
-            rng: StdRng::seed_from_u64(0xC0FFEE),
-        }
-    }
-
-    /// Builder: set the batch-selection strategy.
-    pub fn with_batch(mut self, batch: BatchMode) -> Self {
-        self.batch = batch;
-        self
+        InherentGainPolicy { estimator, rng: StdRng::seed_from_u64(0xC0FFEE) }
     }
 }
 
@@ -188,134 +304,28 @@ impl AssignmentPolicy for InherentGainPolicy {
     fn select(&mut self, worker: WorkerId, k: usize, ctx: &AssignmentContext<'_>) -> Vec<CellId> {
         let inference =
             ctx.inference.expect("InherentGainPolicy requires an inference result in the context");
-        let candidates = ctx.candidates(worker);
-        let gains: Vec<f64> = if self.estimator == GainEstimator::Exact {
-            // The exact estimator is RNG-free, so large candidate sets can be
-            // scored across threads (the paper's §5.1 parallelisation note).
-            crate::gain::compute_gains(&candidates, |c| {
-                let v = inference.effective_variance(worker, c);
-                let q = inference.cell_quality(worker, c);
-                let mut rng = StdRng::seed_from_u64(0); // unused by Exact
-                gain_with_params(inference.truth_z(c), v, q, GainEstimator::Exact, &mut rng)
-            })
-        } else {
-            candidates
-                .iter()
-                .map(|&c| {
-                    let v = inference.effective_variance(worker, c);
-                    let q = inference.cell_quality(worker, c);
-                    gain_with_params(inference.truth_z(c), v, q, self.estimator, &mut self.rng)
-                })
-                .collect()
-        };
-        match self.batch {
-            BatchMode::TopK => top_k_by_gain(candidates, gains, k),
-            BatchMode::SequentialGreedy => sequential_greedy(
-                candidates,
-                gains,
-                k,
-                |cell, rng| {
-                    let v = inference.effective_variance(worker, cell);
-                    let q = inference.cell_quality(worker, cell);
-                    gain_with_params(inference.truth_z(cell), v, q, self.estimator, rng)
-                },
-                &mut self.rng,
-            ),
-        }
+        select_by_gain(ctx, worker, k, inference, self.estimator, None, |_| 1.0, &mut self.rng)
     }
-}
-
-/// Generic sequential greedy: pick the max-gain candidate, drop it, repeat.
-/// `rescore` recomputes a candidate's gain (posterior-coupled policies would
-/// hook their updates here).
-fn sequential_greedy<F>(
-    mut candidates: Vec<CellId>,
-    mut gains: Vec<f64>,
-    k: usize,
-    rescore: F,
-    rng: &mut StdRng,
-) -> Vec<CellId>
-where
-    F: Fn(CellId, &mut StdRng) -> f64,
-{
-    let mut picked = Vec::with_capacity(k.min(candidates.len()));
-    for _ in 0..k {
-        if candidates.is_empty() {
-            break;
-        }
-        let best = gains
-            .iter()
-            .enumerate()
-            .max_by(|a, b| cmp_gain(*a.1, *b.1))
-            .map(|(i, _)| i)
-            .expect("non-empty");
-        picked.push(candidates.swap_remove(best));
-        gains.swap_remove(best);
-        // Re-score survivors (no-op for independent posteriors, but keeps the
-        // hook honest for coupled policies).
-        for (i, &c) in candidates.iter().enumerate() {
-            gains[i] = rescore(c, rng);
-        }
-    }
-    picked
 }
 
 /// T-Crowd's structure-aware information-gain policy (§5.2).
 ///
-/// Fits a [`CorrelationModel`] from the current state, then for each
-/// candidate cell conditions the incoming worker's predicted error on the
-/// errors the worker already made on the same row. Falls back to the
-/// inherent gain when no conditioning information exists (new worker, empty
-/// row, or unsupported pair).
+/// Fits a [`CorrelationModel`] from the current state (or takes the
+/// context's cached one), then for each candidate cell conditions the
+/// incoming worker's predicted error on the errors the worker already made
+/// on the same row. Falls back to the inherent gain when no conditioning
+/// information exists (new worker, empty row, or unsupported pair).
 #[derive(Debug)]
 pub struct StructureAwarePolicy {
     /// Expected-entropy estimator for continuous cells.
     pub estimator: GainEstimator,
-    /// Batch strategy.
-    pub batch: BatchMode,
     rng: StdRng,
 }
 
 impl StructureAwarePolicy {
     /// Create with the given estimator.
     pub fn new(estimator: GainEstimator) -> Self {
-        StructureAwarePolicy {
-            estimator,
-            batch: BatchMode::default(),
-            rng: StdRng::seed_from_u64(0x5EED),
-        }
-    }
-
-    /// Gain of `cell` for `worker` under the correlation-conditioned error
-    /// model; `observed` holds the worker's errors on the cell's row.
-    fn structure_gain(
-        &mut self,
-        inference: &InferenceResult,
-        model: &CorrelationModel,
-        worker: WorkerId,
-        cell: CellId,
-        observed: &[(usize, ErrorObservation)],
-    ) -> f64 {
-        let truth = inference.truth_z(cell);
-        let v_inherent = inference.effective_variance(worker, cell);
-        let q_inherent = inference.cell_quality(worker, cell);
-        let (v, q) = match model.conditional_error(cell.col as usize, observed) {
-            Some(PredictedError::Categorical(p_wrong)) => {
-                // Blend the structural prediction with the inherent quality:
-                // both carry information about this worker on this cell.
-                let q_struct = clamp_prob(1.0 - p_wrong);
-                (v_inherent, 0.5 * (q_struct + q_inherent))
-            }
-            Some(mix @ PredictedError::ContinuousMixture(_)) => {
-                let (_, var) = mix.mixture_moments().expect("continuous mixture");
-                // Same blend on the variance scale.
-                let v_struct = var.max(tcrowd_stat::EPS);
-                let v = (v_struct * v_inherent).sqrt(); // geometric mean
-                (v, quality_from_variance(inference.epsilon, v))
-            }
-            None => (v_inherent, q_inherent),
-        };
-        gain_with_params(truth, v, q, self.estimator, &mut self.rng)
+        StructureAwarePolicy { estimator, rng: StdRng::seed_from_u64(0x5EED) }
     }
 }
 
@@ -345,29 +355,16 @@ impl AssignmentPolicy for StructureAwarePolicy {
                 &fitted_here
             }
         };
-        let candidates = ctx.candidates(worker);
-        // Pre-compute the worker's observed errors per row (L^u_i of Eq. 7).
-        let mut row_errors: std::collections::HashMap<u32, Vec<(usize, ErrorObservation)>> =
-            std::collections::HashMap::new();
-        if let Some(w) = matrix.worker_index(worker) {
-            for a in matrix.worker_answers(w) {
-                let answer =
-                    tcrowd_tabular::Answer { worker: a.worker, cell: a.cell, value: a.value };
-                row_errors
-                    .entry(a.cell.row)
-                    .or_default()
-                    .push((a.cell.col as usize, observe_error(inference, &answer)));
-            }
-        }
-        let empty: Vec<(usize, ErrorObservation)> = Vec::new();
-        let gains: Vec<f64> = candidates
-            .iter()
-            .map(|&c| {
-                let observed = row_errors.get(&c.row).unwrap_or(&empty);
-                self.structure_gain(inference, model, worker, c, observed)
-            })
-            .collect();
-        top_k_by_gain(candidates, gains, k)
+        select_by_gain(
+            ctx,
+            worker,
+            k,
+            inference,
+            self.estimator,
+            Some(model),
+            |_| 1.0,
+            &mut self.rng,
+        )
     }
 }
 
@@ -431,20 +428,144 @@ mod tests {
         (d, r)
     }
 
+    /// `scored` ranked by the parent's full stable sort — the oracle for
+    /// the partial selection.
+    fn full_sort(scored: &[(f64, CellId)]) -> Vec<CellId> {
+        let mut order: Vec<usize> = (0..scored.len()).collect();
+        order.sort_by(|&a, &b| {
+            cmp_gain(scored[b].0, scored[a].0).then(scored[a].1.cmp(&scored[b].1))
+        });
+        order.into_iter().map(|i| scored[i].1).collect()
+    }
+
     #[test]
     fn nan_gains_rank_last_instead_of_panicking() {
         let cells: Vec<CellId> = (0..5).map(|c| CellId::new(0, c)).collect();
-        let gains = vec![0.3, f64::NAN, 0.9, f64::NAN, 0.1];
+        let scored = |gains: &[f64]| gains.iter().copied().zip(cells.iter().copied()).collect();
         assert_eq!(
-            top_k_by_gain(cells.clone(), gains.clone(), 5),
+            top_k_by_gain(scored(&[0.3, f64::NAN, 0.9, f64::NAN, 0.1]), 5),
             vec![cells[2], cells[0], cells[4], cells[1], cells[3]]
         );
-        let mut rng = StdRng::seed_from_u64(0);
-        let rescore = |c: CellId, _: &mut StdRng| gains[c.col as usize];
-        let picked = sequential_greedy(cells.clone(), gains.clone(), 3, rescore, &mut rng);
-        assert_eq!(picked, vec![cells[2], cells[0], cells[4]]);
-        let all_nan = vec![f64::NAN; 5];
-        assert_eq!(top_k_by_gain(cells.clone(), all_nan, 2), vec![cells[0], cells[1]]);
+        assert_eq!(top_k_by_gain(scored(&[f64::NAN; 5]), 2), vec![cells[0], cells[1]]);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn partial_top_k_is_the_prefix_of_a_full_sort(
+            levels in proptest::collection::vec(0u8..6, 0..60),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            // Few distinct gain levels (ties), NaN and ±∞ among them, on
+            // cells in shuffled order.
+            let gain = |l: u8| match l {
+                0 => f64::NAN,
+                1 => f64::NEG_INFINITY,
+                5 => f64::INFINITY,
+                l => l as f64 * 0.25,
+            };
+            let mut cells: Vec<CellId> =
+                (0..levels.len() as u32).map(|i| CellId::new(i / 7, i % 7)).collect();
+            let mut rng = StdRng::seed_from_u64(seed);
+            use rand::seq::SliceRandom;
+            cells.shuffle(&mut rng);
+            let scored: Vec<(f64, CellId)> =
+                levels.iter().map(|&l| gain(l)).zip(cells).collect();
+            let full = full_sort(&scored);
+            for k in 0..=scored.len() + 1 {
+                let picked = top_k_by_gain(scored.clone(), k);
+                proptest::prop_assert_eq!(&picked[..], &full[..k.min(full.len())]);
+            }
+        }
+    }
+
+    /// The parent's structure-aware scorer, kept as the exactness oracle:
+    /// candidates by per-cell membership queries, a `HashMap` of row
+    /// errors, `φ` resolved per cell, the enumerated categorical gain and a
+    /// full sort.
+    fn parent_structure_aware(
+        ctx: &AssignmentContext<'_>,
+        model: &CorrelationModel,
+        worker: WorkerId,
+        k: usize,
+    ) -> Vec<CellId> {
+        let inference = ctx.inference.unwrap();
+        let (rows, cols) = (ctx.answers.rows(), ctx.answers.cols());
+        let candidates: Vec<CellId> = (0..rows * cols)
+            .map(|s| CellId::new((s / cols) as u32, (s % cols) as u32))
+            .filter(|&c| !ctx.answers.has_answered(worker, c))
+            .collect();
+        let mut row_errors: std::collections::HashMap<u32, Vec<(usize, ErrorObservation)>> =
+            std::collections::HashMap::new();
+        let matrix = ctx.matrix();
+        if let Some(w) = matrix.worker_index(worker) {
+            for a in matrix.worker_answers(w) {
+                let answer =
+                    tcrowd_tabular::Answer { worker: a.worker, cell: a.cell, value: a.value };
+                row_errors
+                    .entry(a.cell.row)
+                    .or_default()
+                    .push((a.cell.col as usize, observe_error(inference, &answer)));
+            }
+        }
+        let scored: Vec<(f64, CellId)> = candidates
+            .iter()
+            .map(|&c| {
+                let v_inherent = inference.effective_variance(worker, c);
+                let q_inherent = inference.cell_quality(worker, c);
+                let observed = row_errors.get(&c.row).map(Vec::as_slice).unwrap_or(&[]);
+                let (v, q) = match model.conditional_error(c.col as usize, observed) {
+                    Some(crate::PredictedError::Categorical(p_wrong)) => {
+                        (v_inherent, 0.5 * (clamp_prob(1.0 - p_wrong) + q_inherent))
+                    }
+                    Some(mix @ crate::PredictedError::ContinuousMixture(_)) => {
+                        let (_, var) = mix.mixture_moments().unwrap();
+                        let v = (var.max(EPS) * v_inherent).sqrt();
+                        (v, quality_from_variance(inference.epsilon, v))
+                    }
+                    None => (v_inherent, q_inherent),
+                };
+                let gain = match inference.truth_z(c) {
+                    TruthDist::Categorical(p) => {
+                        crate::gain::enumerated_categorical_gain(p, clamp_prob(q))
+                    }
+                    TruthDist::Continuous(n) => {
+                        0.5 * (1.0 + n.var / tcrowd_stat::clamp_var(v)).ln()
+                    }
+                };
+                (gain, c)
+            })
+            .collect();
+        full_sort(&scored).into_iter().take(k).collect()
+    }
+
+    #[test]
+    fn fast_scorer_picks_what_the_parent_scorer_picks() {
+        for seed in 0..4 {
+            let (d, r) = setup(10 + seed);
+            let m = d.answers.to_matrix();
+            let model = CorrelationModel::fit_matrix(&d.schema, &m, &r);
+            let ctx = AssignmentContext {
+                schema: &d.schema,
+                answers: &d.answers,
+                freeze: m.freeze_view(),
+                inference: Some(&r),
+                max_answers_per_cell: None,
+                terminated: None,
+                correlation: Some(&model),
+            };
+            let mut workers: Vec<WorkerId> = d.answers.workers().collect();
+            workers.push(WorkerId(9_999));
+            for &w in &workers {
+                for k in [1, 5, 100] {
+                    let fast = StructureAwarePolicy::default().select(w, k, &ctx);
+                    assert_eq!(
+                        fast,
+                        parent_structure_aware(&ctx, &model, w, k),
+                        "seed {seed}, {w:?}, k {k}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -496,27 +617,6 @@ mod tests {
             dedup.dedup();
             assert_eq!(dedup.len(), 7, "{} returned duplicates", policy.name());
         }
-    }
-
-    #[test]
-    fn topk_and_sequential_agree_for_inherent() {
-        let (d, r) = setup(3);
-        let m = d.answers.to_matrix();
-        let ctx = AssignmentContext {
-            schema: &d.schema,
-            answers: &d.answers,
-            freeze: m.freeze_view(),
-            inference: Some(&r),
-            max_answers_per_cell: None,
-            terminated: None,
-            correlation: None,
-        };
-        let w = WorkerId(9_999);
-        let mut a = InherentGainPolicy::default();
-        let mut b = InherentGainPolicy { batch: BatchMode::SequentialGreedy, ..Default::default() };
-        let pa: std::collections::BTreeSet<_> = a.select(w, 5, &ctx).into_iter().collect();
-        let pb: std::collections::BTreeSet<_> = b.select(w, 5, &ctx).into_iter().collect();
-        assert_eq!(pa, pb);
     }
 
     #[test]

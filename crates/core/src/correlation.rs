@@ -51,19 +51,33 @@ impl PredictedError {
     /// predictably-biased worker is treated as noisier.
     pub fn mixture_moments(&self) -> Option<(f64, f64)> {
         match self {
-            PredictedError::ContinuousMixture(parts) => {
-                let total: f64 = parts.iter().map(|(w, _)| w).sum();
-                if total <= EPS {
-                    return None;
-                }
-                let mean: f64 = parts.iter().map(|(w, n)| w * n.mean).sum::<f64>() / total;
-                let second: f64 =
-                    parts.iter().map(|(w, n)| w * (n.var + n.mean * n.mean)).sum::<f64>() / total;
-                Some((mean, (second - mean * mean).max(EPS)))
-            }
+            PredictedError::ContinuousMixture(parts) => mixture_moments(parts),
             PredictedError::Categorical(_) => None,
         }
     }
+}
+
+/// Mean and variance of a weighted Gaussian mixture (see
+/// [`PredictedError::mixture_moments`]); `None` when the weights vanish.
+pub(crate) fn mixture_moments(parts: &[(f64, Normal)]) -> Option<(f64, f64)> {
+    let total: f64 = parts.iter().map(|(w, _)| w).sum();
+    if total <= EPS {
+        return None;
+    }
+    let mean: f64 = parts.iter().map(|(w, n)| w * n.mean).sum::<f64>() / total;
+    let second: f64 = parts.iter().map(|(w, n)| w * (n.var + n.mean * n.mean)).sum::<f64>() / total;
+    Some((mean, (second - mean * mean).max(EPS)))
+}
+
+/// [`CorrelationModel::conditional_error`] without the allocation: a
+/// continuous prediction's mixture is left, weights normalised, in the
+/// caller's scratch buffer.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Prediction {
+    /// Probability the worker answers wrongly.
+    Categorical(f64),
+    /// The mixture is in the scratch buffer.
+    Mixture,
 }
 
 /// Conditional model for an ordered column pair `(j, k)`: `P(e_j | e_k)`.
@@ -208,9 +222,24 @@ impl CorrelationModel {
         j: usize,
         observed: &[(usize, ErrorObservation)],
     ) -> Option<PredictedError> {
+        let mut mix = Vec::new();
+        Some(match self.predict_into(j, observed, &mut mix)? {
+            Prediction::Categorical(p_wrong) => PredictedError::Categorical(p_wrong),
+            Prediction::Mixture => PredictedError::ContinuousMixture(mix),
+        })
+    }
+
+    /// Eq. 7 into a reusable mixture buffer — what the per-candidate
+    /// scoring loop calls (see [`Prediction`]).
+    pub(crate) fn predict_into(
+        &self,
+        j: usize,
+        observed: &[(usize, ErrorObservation)],
+        mix: &mut Vec<(f64, Normal)>,
+    ) -> Option<Prediction> {
+        mix.clear();
         let mut cat_num = 0.0;
         let mut cat_den = 0.0;
-        let mut mix: Vec<(f64, Normal)> = Vec::new();
         for &(k, ref ek) in observed {
             if k == j || k >= self.n_cols {
                 continue;
@@ -257,13 +286,13 @@ impl CorrelationModel {
             }
         }
         if cat_den > 0.0 {
-            Some(PredictedError::Categorical(clamp_prob(cat_num / cat_den)))
+            Some(Prediction::Categorical(clamp_prob(cat_num / cat_den)))
         } else if !mix.is_empty() {
             let total: f64 = mix.iter().map(|(w, _)| w).sum();
-            for (w, _) in &mut mix {
+            for (w, _) in mix.iter_mut() {
                 *w /= total;
             }
-            Some(PredictedError::ContinuousMixture(mix))
+            Some(Prediction::Mixture)
         } else {
             None
         }

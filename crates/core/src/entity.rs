@@ -27,9 +27,9 @@
 //! `λ_{u,g(i)} · α_i β_j φ_u`, optionally combined with the attribute-level
 //! conditioning of the structure-aware policy.
 
-use crate::assign::top_k_by_gain;
-use crate::correlation::{observe_error, CorrelationModel, ErrorObservation, PredictedError};
-use crate::gain::{gain_with_params, GainEstimator};
+use crate::assign::select_by_gain;
+use crate::correlation::{observe_error, CorrelationModel, ErrorObservation};
+use crate::gain::GainEstimator;
 use crate::inference::InferenceResult;
 use crate::model::{cat_answer_ln_likelihood, quality_from_variance};
 use rand::rngs::StdRng;
@@ -380,46 +380,20 @@ impl crate::assign::AssignmentPolicy for EntityAwarePolicy {
         } else {
             None
         };
-        let mut row_errors: HashMap<u32, Vec<(usize, ErrorObservation)>> = HashMap::new();
-        if corr.is_some() {
-            if let Some(w) = matrix.worker_index(worker) {
-                for a in matrix.worker_answers(w) {
-                    let answer =
-                        tcrowd_tabular::Answer { worker: a.worker, cell: a.cell, value: a.value };
-                    row_errors
-                        .entry(a.cell.row)
-                        .or_default()
-                        .push((a.cell.col as usize, observe_error(inference, &answer)));
-                }
-            }
-        }
-        let empty: Vec<(usize, ErrorObservation)> = Vec::new();
-        let candidates = ctx.candidates(worker);
-        let gains: Vec<f64> = candidates
-            .iter()
-            .map(|&c| {
-                let lambda = entity.lambda(worker, c.row);
-                let v_inherent = lambda * inference.effective_variance(worker, c);
-                let q_inherent = quality_from_variance(inference.epsilon, v_inherent);
-                let (v, q) = match corr.as_ref().and_then(|m| {
-                    let observed = row_errors.get(&c.row).unwrap_or(&empty);
-                    m.conditional_error(c.col as usize, observed)
-                }) {
-                    Some(PredictedError::Categorical(p_wrong)) => {
-                        let q_struct = clamp_prob(1.0 - p_wrong);
-                        (v_inherent, 0.5 * (q_struct + q_inherent))
-                    }
-                    Some(mix @ PredictedError::ContinuousMixture(_)) => {
-                        let (_, var) = mix.mixture_moments().expect("continuous mixture");
-                        let v = (var.max(EPS) * v_inherent).sqrt();
-                        (v, quality_from_variance(inference.epsilon, v))
-                    }
-                    None => (v_inherent, q_inherent),
-                };
-                gain_with_params(inference.truth_z(c), v, q, self.estimator, &mut self.rng)
-            })
+        // λ_{u,g} resolved once per group, not hashed once per candidate.
+        let by_group: Vec<f64> = (0..entity.num_groups())
+            .map(|g| entity.lambda.get(&(worker, g)).copied().unwrap_or(1.0))
             .collect();
-        top_k_by_gain(candidates, gains, k)
+        select_by_gain(
+            ctx,
+            worker,
+            k,
+            inference,
+            self.estimator,
+            corr.as_ref(),
+            |row| by_group[entity.group_of(row)],
+            &mut self.rng,
+        )
     }
 }
 

@@ -14,11 +14,10 @@
 //! ablation study.
 
 use crate::inference::InferenceResult;
-use crate::model::cat_answer_likelihood;
 use crate::truth::TruthDist;
 use rand::rngs::StdRng;
-use tcrowd_stat::clamp_var;
-use tcrowd_tabular::{CellId, Value, WorkerId};
+use tcrowd_stat::{clamp_prob, clamp_var};
+use tcrowd_tabular::{CellId, WorkerId};
 
 /// How the expected posterior entropy of a *continuous* cell is estimated.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -70,29 +69,62 @@ pub fn gain_with_params(
                 }
             }
         }
-        TruthDist::Categorical(p) => {
-            let l = p.len() as u32;
-            if l <= 1 {
-                return 0.0;
-            }
-            let h0 = truth.entropy();
-            // Predictive answer distribution: P(a) = Σ_z P(z)·P(a|z).
-            let mut expected_h = 0.0;
-            for a in 0..l {
-                let p_a: f64 = p
-                    .iter()
-                    .enumerate()
-                    .map(|(z, pz)| pz * cat_answer_likelihood(q, l, z as u32 == a))
-                    .sum();
-                if p_a <= 0.0 {
-                    continue;
-                }
-                let post = truth.updated_with_answer(&Value::Categorical(a), obs_var, q);
-                expected_h += p_a * post.entropy();
-            }
-            h0 - expected_h
+        TruthDist::Categorical(p) => categorical_gain(p, q),
+    }
+}
+
+/// Information gain of one categorical answer of quality `q` on a cell with
+/// posterior `p`, as the mutual information `I(T; A) = H(A) − H(A|T)`.
+///
+/// Under every hypothesis `z` the answer takes `z` with probability `q` and
+/// each other label with `r = (1−q)/(|L|−1)` (Eq. 3), so `H(A|T)` is the
+/// one closed term `−q ln q − (1−q) ln r`, and `P(a) = p_a q + (1 − p_a) r`.
+/// That is `|L| + 2` logarithms and no allocation, where the textbook
+/// `H(T) − Σ_a P(a) H(T|a)` builds `|L|` posteriors; the two agree to
+/// rounding (property-tested against that enumeration).
+fn categorical_gain(p: &[f64], q: f64) -> f64 {
+    if p.len() <= 1 {
+        return 0.0;
+    }
+    let q = clamp_prob(q);
+    let r = (1.0 - q) / (p.len() - 1) as f64;
+    let total: f64 = p.iter().sum();
+    let mut h_answer = 0.0;
+    for &pz in p {
+        let pa = pz * q + (total - pz) * r;
+        if pa > 0.0 {
+            h_answer -= pa * pa.ln();
         }
     }
+    let h_answer_given_truth = -(q * q.ln() + (1.0 - q) * r.ln());
+    h_answer - h_answer_given_truth
+}
+
+/// The textbook `H(T) − Σ_a P(a)·H(T|a)` enumeration, one explicit
+/// posterior per hypothetical answer — the test oracle for
+/// [`categorical_gain`].
+#[cfg(test)]
+pub(crate) fn enumerated_categorical_gain(p: &[f64], q: f64) -> f64 {
+    use tcrowd_tabular::Value;
+    let truth = TruthDist::Categorical(p.to_vec());
+    let l = p.len() as u32;
+    if l <= 1 {
+        return 0.0;
+    }
+    let mut expected_h = 0.0;
+    for a in 0..l {
+        let p_a: f64 = p
+            .iter()
+            .enumerate()
+            .map(|(z, pz)| pz * crate::model::cat_answer_likelihood(q, l, z as u32 == a))
+            .sum();
+        if p_a <= 0.0 {
+            continue;
+        }
+        let post = truth.updated_with_answer(&Value::Categorical(a), 1.0, q);
+        expected_h += p_a * post.entropy();
+    }
+    truth.entropy() - expected_h
 }
 
 /// Inherent information gain `IG_q(c_ij)` (Eq. 6): the gain of assigning
@@ -110,37 +142,10 @@ pub fn inherent_gain(
     gain_with_params(result.truth_z(cell), v, q, estimator, rng)
 }
 
-/// Compute gains for many candidate cells, splitting across threads when the
-/// candidate set is large (the paper's §5.1 notes assignment parallelises
-/// trivially because cells are independent).
-pub fn compute_gains<F>(candidates: &[CellId], per_cell: F) -> Vec<f64>
-where
-    F: Fn(CellId) -> f64 + Sync,
-{
-    const PARALLEL_THRESHOLD: usize = 8192;
-    if !cfg!(feature = "parallel") || candidates.len() < PARALLEL_THRESHOLD {
-        return candidates.iter().map(|&c| per_cell(c)).collect();
-    }
-    let threads =
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(candidates.len());
-    let chunk = candidates.len().div_ceil(threads);
-    let mut out = vec![0.0; candidates.len()];
-    std::thread::scope(|scope| {
-        for (cells, slot) in candidates.chunks(chunk).zip(out.chunks_mut(chunk)) {
-            let per_cell = &per_cell;
-            scope.spawn(move || {
-                for (c, o) in cells.iter().zip(slot.iter_mut()) {
-                    *o = per_cell(*c);
-                }
-            });
-        }
-    });
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::SeedableRng;
     use tcrowd_stat::normal::Normal;
 
@@ -229,13 +234,32 @@ mod tests {
         assert!((g - 0.5 * (1.0f64 + 3.0 / 1.5).ln()).abs() < 1e-12);
     }
 
-    #[test]
-    fn parallel_gains_match_serial() {
-        let cells: Vec<CellId> =
-            (0..10_000).map(|i| CellId::new(i as u32 / 100, i as u32 % 100)).collect();
-        let f = |c: CellId| (c.row * 100 + c.col) as f64 * 0.5;
-        let par = compute_gains(&cells, f);
-        let ser: Vec<f64> = cells.iter().map(|&c| f(c)).collect();
-        assert_eq!(par, ser);
+    proptest! {
+        #[test]
+        fn closed_form_categorical_gain_matches_enumeration(
+            raw in prop::collection::vec(0.0f64..1.0, 2..9),
+            sharpen in 1i32..6,
+            zeros in any::<u8>(),
+            q in 1e-6f64..(1.0 - 1e-6),
+        ) {
+            // Random posteriors over |L| ∈ [2, 8], sharpened toward spikes,
+            // some with exact zeros.
+            let mut p: Vec<f64> = raw
+                .iter()
+                .enumerate()
+                .map(|(i, x)| if zeros >> (i % 8) & 1 == 1 && zeros % 3 == 0 { 0.0 } else { x.powi(sharpen) })
+                .collect();
+            if p.iter().sum::<f64>() <= 0.0 {
+                p[0] = 1.0;
+            }
+            let total: f64 = p.iter().sum();
+            p.iter_mut().for_each(|x| *x /= total);
+            let closed = categorical_gain(&p, q);
+            let oracle = enumerated_categorical_gain(&p, q);
+            prop_assert!(
+                (closed - oracle).abs() < 1e-12,
+                "q = {q}, p = {p:?}: {closed} vs {oracle}"
+            );
+        }
     }
 }

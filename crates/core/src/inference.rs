@@ -324,6 +324,7 @@ impl TCrowd {
             })
         });
         let state = run_em_from(&ws, &self.opts.em, warm.as_ref());
+        let phi: Vec<f64> = state.ln_phi.iter().map(|v| v.exp()).collect();
 
         InferenceResult {
             n_rows,
@@ -334,7 +335,8 @@ impl TCrowd {
             beta: state.ln_beta.iter().map(|v| v.exp()).collect(),
             worker_index: workers.iter().enumerate().map(|(i, &w)| (w, i)).collect(),
             workers,
-            phi: state.ln_phi.iter().map(|v| v.exp()).collect(),
+            median_phi: phi_prior(&phi),
+            phi,
             epsilon,
             objective_trace: state.trace,
             iterations: state.iterations,
@@ -342,6 +344,23 @@ impl TCrowd {
             renorm_shift: state.renorm_shift,
             timings: state.timings,
         }
+    }
+}
+
+/// The `φ` prior for workers a fit has not seen: the population median of
+/// the fitted variances (0.3 for a fit without workers). NaN-tolerant — a
+/// degenerate fit must not panic the build of its result.
+pub(crate) fn phi_prior(phi: &[f64]) -> f64 {
+    if phi.is_empty() {
+        return 0.3;
+    }
+    let mut v = phi.to_vec();
+    v.sort_by(f64::total_cmp);
+    let n = v.len();
+    if n % 2 == 1 {
+        v[n / 2]
+    } else {
+        0.5 * (v[n / 2 - 1] + v[n / 2])
     }
 }
 
@@ -429,8 +448,11 @@ pub struct InferenceResult {
     /// Workers in fitting order (parallel to [`Self::phi`]).
     pub workers: Vec<WorkerId>,
     worker_index: HashMap<WorkerId, usize>,
-    /// Fitted worker variances `φ_u` (z-space).
+    /// Fitted worker variances `φ_u` (z-space). The unseen-worker prior
+    /// [`Self::median_phi`] is taken from them when the result is built.
     pub phi: Vec<f64>,
+    /// Population median of [`Self::phi`] at build time.
+    median_phi: f64,
     /// The resolved quality window `ε`.
     pub epsilon: f64,
     /// ELBO after each EM iteration (Fig. 12a).
@@ -513,12 +535,11 @@ impl InferenceResult {
     }
 
     /// Population-median `φ` — the prior used for workers not seen before.
+    /// Cached when the result is built: every assignment request and every
+    /// incremental update for an unseen worker asks for it.
+    #[inline]
     pub fn median_phi(&self) -> f64 {
-        if self.phi.is_empty() {
-            0.3
-        } else {
-            median(&self.phi)
-        }
+        self.median_phi
     }
 
     /// `φ_u`, falling back to the population median for unseen workers.

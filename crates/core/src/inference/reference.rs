@@ -161,6 +161,7 @@ impl TCrowd {
         let (truths, alpha_ln, beta_ln, phi_ln, trace, iterations, converged, renorm_shift) =
             run_em_reference(&ws, &self.opts.em);
 
+        let phi: Vec<f64> = phi_ln.iter().map(|v| v.exp()).collect();
         InferenceResult {
             n_rows,
             n_cols,
@@ -170,7 +171,8 @@ impl TCrowd {
             beta: beta_ln.iter().map(|v| v.exp()).collect(),
             worker_index: ws.workers.iter().enumerate().map(|(i, &w)| (w, i)).collect(),
             workers: ws.workers.clone(),
-            phi: phi_ln.iter().map(|v| v.exp()).collect(),
+            median_phi: super::phi_prior(&phi),
+            phi,
             epsilon,
             objective_trace: trace,
             iterations,

@@ -28,6 +28,9 @@
 //! `(log, freeze, fit)` triple at one epoch — so assignment and truth
 //! queries proceed concurrently with ingestion and with each other; only
 //! the refresher (or an explicit `POST …/refresh`) moves the epoch forward.
+//! Assignment additionally scores against the answers acked since that
+//! epoch (each applied once per snapshot with the §5.1 incremental
+//! update), so a worker is never offered a cell they already answered.
 //! EM itself **never runs under the ingest lock**: collection keeps
 //! flowing during a refit (`bench_service` measures the ingest-stall ratio
 //! and CI gates it), and the answers that land mid-fit are folded in by a
@@ -168,6 +171,7 @@
 #![warn(missing_docs)]
 
 pub mod api;
+mod fresh;
 pub mod http;
 pub mod json;
 pub mod obs;

@@ -15,7 +15,11 @@
 //!   behind an `RwLock<Arc<…>>`: the [`SharedLog`] prefix at the snapshot
 //!   epoch, the frozen [`AnswerMatrix`] (behind an `Arc`), the last
 //!   published [`InferenceResult`] and a pre-fitted [`CorrelationModel`].
-//!   Readers clone the `Arc` and never contend with ingestion.
+//!   Readers clone the `Arc` and never contend with ingestion. Assignment
+//!   alone also counts the answers acked since the snapshot's epoch: each
+//!   snapshot carries an overlay that applies them once, with the §5.1
+//!   incremental update, to a private copy of its posteriors (see
+//!   [`TableState::assign`]); `/truth` keeps serving the snapshot.
 //! * **Fits** run under a separate *fitter* mutex and **never hold the
 //!   ingest lock while EM runs**. A refresh holds the ingest lock only for
 //!   `O(Δ)` work — twice, briefly:
@@ -59,6 +63,7 @@
 //! mid-refit when the table dies can never publish (or persist a store
 //! snapshot for) a dead table.
 
+use crate::fresh::FreshOverlay;
 use crate::obs::{TableObs, HEALTH_DEGRADED, HEALTH_HEALTHY, HEALTH_RECOVERING};
 use crate::policy::make_policy;
 use std::collections::{BTreeMap, HashMap};
@@ -415,6 +420,10 @@ pub struct Snapshot {
     /// The trust report published with this snapshot (worker scores,
     /// states, and the exclusion set the fit ran under).
     pub trust: Arc<TrustView>,
+    /// What assignment scores against: [`Snapshot::result`] plus the §5.1
+    /// update of every answer acked since [`Snapshot::epoch`], advanced by
+    /// the assignment requests themselves (see the `fresh` module).
+    pub(crate) fresh: FreshOverlay,
 }
 
 /// The store-snapshot chain position of a durable table: what the next
@@ -952,6 +961,7 @@ impl TableState {
             refreshes: 0,
             published_at: Instant::now(),
             trust: trust_view,
+            fresh: FreshOverlay::new(log.len()),
         });
         let seed = config.seed;
         let ingest = Arc::new(Mutex::new(log));
@@ -1520,6 +1530,7 @@ impl TableState {
             refreshes: self.snapshot().refreshes + 1,
             published_at: Instant::now(),
             trust: trust_view,
+            fresh: FreshOverlay::new(epoch),
         };
         // Tombstone guard: a refresh that was mid-refit when the table was
         // removed must not publish a snapshot for a dead table.
@@ -1791,6 +1802,13 @@ impl TableState {
     /// using `policy` (or the table's configured default). Returns the
     /// snapshot the decision was made from alongside the picks, so callers
     /// can report the decision epoch.
+    ///
+    /// Every answer acked before the call counts, published or not: the
+    /// snapshot's overlay is first advanced over the log tail it does not
+    /// cover yet (an `O(Δ)` slice under the ingest lock, then the §5.1
+    /// update of each new answer, once per snapshot), and the policy scores
+    /// against the overlay's posteriors with the cells `worker` answered
+    /// since the epoch excluded.
     pub fn assign(
         &self,
         worker: tcrowd_tabular::WorkerId,
@@ -1800,18 +1818,25 @@ impl TableState {
         let name = policy.unwrap_or(&self.config.policy).to_string();
         let mut policy = make_policy(&name, self.rows, self.config.seed)?;
         let snap = self.snapshot();
-        let ctx = AssignmentContext {
-            schema: &self.schema,
-            // The freeze answers the point queries too: a snapshot carries
-            // no indexed log at all.
-            answers: snap.matrix.as_ref(),
-            freeze: snap.matrix.freeze_view(),
-            inference: Some(&snap.result),
-            max_answers_per_cell: self.config.max_answers_per_cell,
-            terminated: None,
-            correlation: Some(&snap.correlation),
-        };
-        let picks = policy.select(worker, k, &ctx);
+        let from = snap.fresh.upto();
+        if self.ingested() as usize > from {
+            let tail = lock_recover(&self.ingest).slice_since(from);
+            snap.fresh.advance(&snap.result, &snap.trust.excluded, &tail);
+        }
+        let picks = snap.fresh.read(&snap.result, worker, |result, answered| {
+            let ctx = AssignmentContext {
+                schema: &self.schema,
+                // The freeze answers the point queries too: a snapshot
+                // carries no indexed log at all.
+                answers: snap.matrix.as_ref(),
+                freeze: snap.matrix.freeze_view(),
+                inference: Some(result),
+                max_answers_per_cell: self.config.max_answers_per_cell,
+                terminated: answered,
+                correlation: Some(&snap.correlation),
+            };
+            policy.select(worker, k, &ctx)
+        });
         Ok((snap, picks, name))
     }
 
@@ -2369,6 +2394,75 @@ mod tests {
         t.stop_refresher();
     }
 
+    /// The assignment overlay applies each since-epoch answer once with
+    /// the §5.1 update — except a quarantined worker's, which must leave
+    /// every posterior as published — and never touches the snapshot.
+    #[test]
+    fn assignment_overlay_skips_quarantined_workers_and_spares_the_snapshot() {
+        let d = generate_dataset(
+            &GeneratorConfig {
+                rows: 12,
+                columns: 3,
+                num_workers: 8,
+                answers_per_task: 3,
+                ..Default::default()
+            },
+            5,
+        );
+        let config = TableConfig {
+            refit_every: usize::MAX,
+            refresh_interval: Duration::from_secs(3600),
+            ..Default::default()
+        };
+        let t = TableState::create("t".into(), d.schema.clone(), d.rows(), config, None);
+        t.submit(d.answers.all()).unwrap();
+        let q = d.answers.all()[0].worker;
+        t.set_worker_quarantine(q, true).unwrap();
+        t.refresh_now();
+        // No refresh from here on: every later answer is since-epoch.
+        t.stop_refresher();
+        let snap = t.snapshot();
+        assert_eq!(snap.trust.excluded, vec![q]);
+        let posteriors = |r: &InferenceResult| -> Vec<tcrowd_core::TruthDist> {
+            (0..d.rows() as u32)
+                .flat_map(|i| (0..d.cols() as u32).map(move |j| CellId::new(i, j)))
+                .map(|c| r.truth_z(c).clone())
+                .collect()
+        };
+        let published = posteriors(&snap.result);
+
+        // The quarantined worker answers every cell again.
+        let again: Vec<Answer> =
+            d.answers.all().iter().map(|a| Answer { worker: q, ..*a }).collect();
+        t.submit(&again).unwrap();
+        let (used, picks, _) = t.assign(q, d.rows() * d.cols(), None).unwrap();
+        assert!(Arc::ptr_eq(&used, &snap), "no refresh may have published");
+        assert!(picks.is_empty(), "every cell was answered by {q:?}: {picks:?}");
+        assert_eq!(snap.fresh.upto(), d.answers.len() + again.len());
+        snap.fresh.read(&snap.result, q, |fresh, answered| {
+            assert_eq!(posteriors(fresh), published, "quarantined answers moved a posterior");
+            assert_eq!(answered.map(|a| a.len()), Some(d.rows() * d.cols()));
+        });
+
+        // An honest worker's since-epoch answer moves its cell in the
+        // overlay — once, however many requests follow — and only there.
+        let honest = WorkerId(77);
+        let a = Answer { worker: honest, ..d.answers.all()[1] };
+        t.submit(&[a]).unwrap();
+        let mut expected = snap.result.clone();
+        tcrowd_core::apply_answer_incrementally(&mut expected, a.worker, a.cell, &a.value);
+        for _ in 0..3 {
+            let (_, picks, _) = t.assign(honest, d.rows() * d.cols(), None).unwrap();
+            assert!(!picks.contains(&a.cell));
+            assert_eq!(picks.len(), d.rows() * d.cols() - 1);
+        }
+        snap.fresh.read(&snap.result, honest, |fresh, _| {
+            assert_eq!(posteriors(fresh), posteriors(&expected));
+            assert_ne!(fresh.truth_z(a.cell), snap.result.truth_z(a.cell));
+        });
+        assert_eq!(posteriors(&t.snapshot().result), published, "the snapshot changed");
+    }
+
     #[test]
     fn per_worker_rate_limit_refuses_whole_batches() {
         let d = generate_dataset(
@@ -2535,6 +2629,7 @@ mod tests {
                 refreshes: first.refreshes + 1,
                 published_at: Instant::now(),
                 trust: Arc::clone(&first.trust),
+                fresh: FreshOverlay::new(first.epoch),
             });
             drop(held);
             persist.join().unwrap();

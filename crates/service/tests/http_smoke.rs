@@ -145,6 +145,46 @@ fn full_loop_over_the_wire() {
     server.shutdown();
 }
 
+/// Assignment counts every acked answer, published or not: with no refresh
+/// between a worker's answers and their next `GET …/assignment`, none of
+/// the cells they just answered comes back, even with `k` = every cell.
+#[test]
+fn assignment_never_offers_a_cell_the_worker_answered_since_the_snapshot() {
+    let (registry, server) = tcrowd_service::start("127.0.0.1:0", 2).expect("start server");
+    let client = Client { addr: server.addr() };
+    assert_eq!(client.post("/tables", CREATE_BODY).0, 201);
+    let (status, r) = client.post(
+        "/tables/smoke/answers",
+        r#"{"answers":[
+            {"worker":5,"row":0,"col":0,"value":"x"},
+            {"worker":5,"row":3,"col":1,"value":7.5},
+            {"worker":5,"row":6,"col":0,"value":"z"},
+            {"worker":6,"row":1,"col":0,"value":"y"}
+        ]}"#,
+    );
+    assert_eq!(status, 200, "{r}");
+    let (status, assignment) = client.get("/tables/smoke/assignment?worker=5&k=16");
+    assert_eq!(status, 200, "{assignment}");
+    // Nothing was published: the decision is made on the empty snapshot.
+    assert_eq!(assignment.get("epoch").unwrap().as_u64(), Some(0));
+    let cells: Vec<(u64, u64)> = assignment
+        .get("cells")
+        .unwrap()
+        .as_array()
+        .unwrap()
+        .iter()
+        .map(|c| (c.get("row").unwrap().as_u64().unwrap(), c.get("col").unwrap().as_u64().unwrap()))
+        .collect();
+    for answered in [(0, 0), (3, 1), (6, 0)] {
+        assert!(!cells.contains(&answered), "cell {answered:?} offered again: {assignment}");
+    }
+    // Another worker's answer excludes nothing for worker 5.
+    assert_eq!(cells.len(), 16 - 3);
+    assert!(cells.contains(&(1, 0)));
+    registry.shutdown();
+    server.shutdown();
+}
+
 /// Backpressure over the wire: a table created with `max_pending` answers
 /// `429 Too Many Requests` (with a `Retry-After` hint) once the refresher
 /// lag reaches the bound, and accepts again after a refresh drains it.

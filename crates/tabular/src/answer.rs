@@ -248,6 +248,10 @@ pub trait AnswerQueries {
     fn count_for_cell(&self, cell: CellId) -> usize;
     /// True if `worker` already answered `cell` (platforms forbid repeats).
     fn has_answered(&self, worker: WorkerId, cell: CellId) -> bool;
+    /// Visit every cell `worker` answered (a cell answered twice is visited
+    /// twice) — `O(answers by the worker)`, where asking
+    /// [`Self::has_answered`] of every cell costs a scan per cell.
+    fn for_each_answered_cell(&self, worker: WorkerId, f: &mut dyn FnMut(CellId));
     /// The values claimed for one cell, in insertion order.
     fn cell_values(&self, cell: CellId) -> Vec<Value>;
     /// Visit one cell's values in insertion order without materialising
@@ -274,6 +278,11 @@ impl AnswerQueries for AnswerLog {
     }
     fn has_answered(&self, worker: WorkerId, cell: CellId) -> bool {
         AnswerLog::has_answered(self, worker, cell)
+    }
+    fn for_each_answered_cell(&self, worker: WorkerId, f: &mut dyn FnMut(CellId)) {
+        for a in self.for_worker(worker) {
+            f(a.cell);
+        }
     }
     fn cell_values(&self, cell: CellId) -> Vec<Value> {
         self.for_cell(cell).map(|a| a.value).collect()

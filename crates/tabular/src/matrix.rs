@@ -879,6 +879,13 @@ impl crate::answer::AnswerQueries for AnswerMatrix {
     fn has_answered(&self, worker: WorkerId, cell: CellId) -> bool {
         AnswerMatrix::has_answered(self, worker, cell)
     }
+    fn for_each_answered_cell(&self, worker: WorkerId, f: &mut dyn FnMut(CellId)) {
+        if let Some(w) = self.worker_index(worker) {
+            for &k in self.worker_answer_indices(w) {
+                f(CellId::new(self.row_of[k as usize], self.col_of[k as usize]));
+            }
+        }
+    }
     fn cell_values(&self, cell: CellId) -> Vec<Value> {
         self.cell_answers(cell).map(|a| a.value).collect()
     }

@@ -117,6 +117,11 @@ impl AnswerQueries for QuarantineView<'_> {
     fn has_answered(&self, worker: WorkerId, cell: CellId) -> bool {
         !self.is_excluded(worker) && self.matrix.has_answered(worker, cell)
     }
+    fn for_each_answered_cell(&self, worker: WorkerId, f: &mut dyn FnMut(CellId)) {
+        if !self.is_excluded(worker) {
+            AnswerQueries::for_each_answered_cell(self.matrix, worker, f);
+        }
+    }
     fn cell_values(&self, cell: CellId) -> Vec<Value> {
         let mut out = Vec::new();
         self.for_each_cell_value(cell, &mut |v| out.push(*v));

@@ -29,7 +29,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::HashMap;
 use tcrowd_core::model::quality_from_variance;
 use tcrowd_core::{InferenceResult, TruthDist};
 use tcrowd_tabular::{AnswerMatrix, CellId, Value, WorkerId};
@@ -295,43 +294,46 @@ fn shadow_quality(result: &InferenceResult, matrix: &AnswerMatrix, i: usize) -> 
 /// achieving it (lowest partner id on ties), plus the highest count of
 /// bit-identical **continuous** answers shared with any single partner
 /// (counted without the overlap gate — three exact f64 collisions over
-/// three shared cells are already damning). One pass over the cell-major
-/// payload — cells have few answers each, so the per-cell pair loop is
-/// cheap; the pair table is accumulated in a hash map and folded in sorted
-/// order so the result is deterministic.
+/// three shared cells are already damning).
+///
+/// Every pair of same-cell answers by two different workers counts once
+/// for each of the two. A live table collects tens to hundreds of answers
+/// per cell, so the pair count grows with the square of that: per worker,
+/// the tallies against each partner go into a dense scratch row indexed by
+/// partner (no hashing), only the touched entries are folded and reset,
+/// and partners are visited in ascending index (= ascending id) so the
+/// tie-break is the lowest id. Memory is `O(W)`.
 fn pairwise_agreement(
     matrix: &AnswerMatrix,
     min_overlap: usize,
 ) -> Vec<(f64, Option<WorkerId>, usize)> {
-    /// `(shared, agree, collide)` tallies for one unordered worker pair.
-    type PairStats = (u32, u32, u32);
     let workers = matrix.answer_workers();
-    let mut pairs: HashMap<(u32, u32), PairStats> = HashMap::new();
-    let offsets = matrix.cell_offsets();
-    for slot in 0..offsets.len().saturating_sub(1) {
-        let (lo, hi) = (offsets[slot] as usize, offsets[slot + 1] as usize);
-        for a in lo..hi {
-            for b in (a + 1)..hi {
-                let (wa, wb) = (workers[a], workers[b]);
-                if wa == wb {
+    let (rows, cols) = (matrix.answer_rows(), matrix.answer_cols());
+    // `(shared, agree, collide)` against each partner of the current worker.
+    let mut tally: Vec<(u32, u32, u32)> = vec![(0, 0, 0); matrix.num_workers()];
+    let mut touched: Vec<u32> = Vec::new();
+    let mut best: Vec<(f64, Option<WorkerId>, usize)> = vec![(0.0, None, 0); matrix.num_workers()];
+    for (me, slot) in best.iter_mut().enumerate() {
+        for &a in matrix.worker_answer_indices(me) {
+            let a = a as usize;
+            for b in matrix.cell_range(CellId::new(rows[a], cols[a])) {
+                let other = workers[b];
+                if other as usize == me {
                     continue; // repeat answers by one worker are not a pair
                 }
-                let key = (wa.min(wb), wa.max(wb));
                 let agree = answers_match(matrix, a, b);
-                let collide = agree && !matrix.is_categorical(a);
-                let e = pairs.entry(key).or_insert((0, 0, 0));
-                e.0 += 1;
-                e.1 += agree as u32;
-                e.2 += collide as u32;
+                let t = &mut tally[other as usize];
+                if t.0 == 0 {
+                    touched.push(other);
+                }
+                t.0 += 1;
+                t.1 += agree as u32;
+                t.2 += (agree && !matrix.is_categorical(a)) as u32;
             }
         }
-    }
-    let mut sorted: Vec<((u32, u32), PairStats)> = pairs.into_iter().collect();
-    sorted.sort_unstable_by_key(|&(k, _)| k);
-    let mut best: Vec<(f64, Option<WorkerId>, usize)> = vec![(0.0, None, 0); matrix.num_workers()];
-    for ((wa, wb), (shared, agree, collide)) in sorted {
-        for (me, other) in [(wa, wb), (wb, wa)] {
-            let slot = &mut best[me as usize];
+        touched.sort_unstable();
+        for &other in &touched {
+            let (shared, agree, collide) = std::mem::take(&mut tally[other as usize]);
             if (shared as usize) >= min_overlap {
                 let rate = agree as f64 / shared as f64;
                 if rate > slot.0 {
@@ -341,6 +343,7 @@ fn pairwise_agreement(
             }
             slot.2 = slot.2.max(collide as usize);
         }
+        touched.clear();
     }
     best
 }
@@ -494,6 +497,102 @@ mod tests {
         let honest = trust.iter().filter(|t| t.worker.0 < 900).collect::<Vec<_>>();
         assert!(honest.iter().all(|t| t.quality.is_some()));
         assert!(honest.iter().filter(|t| t.score > cfg.suspect_enter).count() >= honest.len() / 2);
+    }
+
+    /// The per-cell pair loop over a hashed pair table that the dense
+    /// per-worker tally replaced — kept as the oracle.
+    fn pairwise_agreement_hashed(
+        matrix: &AnswerMatrix,
+        min_overlap: usize,
+    ) -> Vec<(f64, Option<WorkerId>, usize)> {
+        type PairStats = (u32, u32, u32);
+        let workers = matrix.answer_workers();
+        let mut pairs: std::collections::HashMap<(u32, u32), PairStats> =
+            std::collections::HashMap::new();
+        let offsets = matrix.cell_offsets();
+        for slot in 0..offsets.len().saturating_sub(1) {
+            let (lo, hi) = (offsets[slot] as usize, offsets[slot + 1] as usize);
+            for a in lo..hi {
+                for b in (a + 1)..hi {
+                    let (wa, wb) = (workers[a], workers[b]);
+                    if wa == wb {
+                        continue;
+                    }
+                    let agree = answers_match(matrix, a, b);
+                    let e = pairs.entry((wa.min(wb), wa.max(wb))).or_insert((0, 0, 0));
+                    e.0 += 1;
+                    e.1 += agree as u32;
+                    e.2 += (agree && !matrix.is_categorical(a)) as u32;
+                }
+            }
+        }
+        let mut sorted: Vec<((u32, u32), PairStats)> = pairs.into_iter().collect();
+        sorted.sort_unstable_by_key(|&(k, _)| k);
+        let mut best = vec![(0.0, None, 0); matrix.num_workers()];
+        for ((wa, wb), (shared, agree, collide)) in sorted {
+            for (me, other) in [(wa, wb), (wb, wa)] {
+                let slot: &mut (f64, Option<WorkerId>, usize) = &mut best[me as usize];
+                if (shared as usize) >= min_overlap {
+                    let rate = agree as f64 / shared as f64;
+                    if rate > slot.0 {
+                        slot.0 = rate;
+                        slot.1 = Some(matrix.worker_id(other as usize));
+                    }
+                }
+                slot.2 = slot.2.max(collide as usize);
+            }
+        }
+        best
+    }
+
+    #[test]
+    fn dense_tally_scores_exactly_like_the_hashed_pair_table() {
+        let cfg = TrustConfig { collusion_min_overlap: 3, ..TrustConfig::default() };
+        for seed in 0..12u64 {
+            let d = generate_dataset(
+                &GeneratorConfig {
+                    rows: 12,
+                    columns: 4,
+                    num_workers: 9,
+                    answers_per_task: 6,
+                    cardinality_range: (2, 3),
+                    ..Default::default()
+                },
+                seed,
+            );
+            let mut log = AnswerLog::new(d.rows(), d.cols());
+            let mut rng = StdRng::seed_from_u64(seed);
+            for a in d.answers.all() {
+                log.push(*a);
+                // Repeat answers by one worker, and copies of the answer
+                // (bit-identical continuous collisions) by a few partners.
+                if rng.gen_bool(0.15) {
+                    log.push(*a);
+                }
+                if rng.gen_bool(0.3) {
+                    let copier = WorkerId(100 + rng.gen_range(0..3u32));
+                    log.push(Answer { worker: copier, ..*a });
+                }
+            }
+            let matrix = log.to_matrix();
+            let result = TCrowd::default_full().infer_matrix(&d.schema, &matrix);
+            for min_overlap in [1, 3, 8] {
+                assert_eq!(
+                    pairwise_agreement(&matrix, min_overlap),
+                    pairwise_agreement_hashed(&matrix, min_overlap),
+                    "seed {seed}, min_overlap {min_overlap}"
+                );
+            }
+            let scored = score_workers(&result, &matrix, &cfg);
+            let oracle = pairwise_agreement_hashed(&matrix, cfg.collusion_min_overlap);
+            for (t, (rate, partner, collisions)) in scored.iter().zip(oracle) {
+                assert_eq!(
+                    (t.max_agreement, t.partner, t.value_collisions),
+                    (rate, partner, collisions)
+                );
+            }
+            assert!(scored.iter().any(|t| t.value_collisions > 0), "seed {seed}: no collisions");
+        }
     }
 
     #[test]
