@@ -107,11 +107,11 @@ fn em_throughput(c: &mut Criterion) {
     let reps = if quick { 1 } else { 3 };
 
     let seq = TCrowd::new(TCrowdOptions {
-        em: EmOptions { parallel_estep: false, parallel_mstep: false, ..Default::default() },
+        em: EmOptions { threads: 1, ..Default::default() },
         ..Default::default()
     });
     let par = TCrowd::new(TCrowdOptions {
-        em: EmOptions { parallel_estep: true, parallel_mstep: true, ..Default::default() },
+        em: EmOptions { threads: 0, ..Default::default() },
         ..Default::default()
     });
 
@@ -191,7 +191,7 @@ fn em_throughput(c: &mut Criterion) {
         )
     };
     let json = format!(
-        "{{\n  \"benchmark\": \"em_throughput\",\n  \"dataset\": {{\"rows\": 1000, \"columns\": 10, \"answers\": {}}},\n  \"results_ns_per_inference\": {{\n    \"csr_sequential\": {csr_seq:.0},\n    \"csr_parallel_estep\": {csr_par:.0},\n    \"csr_parallel\": {csr_par:.0},\n    \"hashmap_naive\": {hashmap_naive:.0}\n  }},\n  \"kernel_breakdown\": {{\n    \"serial\": {},\n    \"parallel\": {}\n  }},\n  \"kernel_path\": \"{}\",\n  \"kernels_equal\": {kernels_equal},\n  \"avx2_differential_checked\": {avx2_checked},\n  \"serial_parallel_bit_identical\": {bit_identical},\n  \"threads\": {},\n  \"csr_speedup_over_naive\": {speedup:.3},\n  \"em_speedup_parallel_over_serial\": {em_speedup:.3},\n  \"estep_speedup\": {estep_speedup:.3},\n  \"mstep_speedup\": {mstep_speedup:.3},\n  \"estimates_equal_within\": 1e-9,\n  \"em_iterations\": {},\n  \"objective_evals\": {},\n  \"mstep_ns\": {}\n}}\n",
+        "{{\n  \"benchmark\": \"em_throughput\",\n  \"dataset\": {{\"rows\": 1000, \"columns\": 10, \"answers\": {}}},\n  \"results_ns_per_inference\": {{\n    \"csr_sequential\": {csr_seq:.0},\n    \"csr_parallel\": {csr_par:.0},\n    \"hashmap_naive\": {hashmap_naive:.0}\n  }},\n  \"kernel_breakdown\": {{\n    \"serial\": {},\n    \"parallel\": {}\n  }},\n  \"kernel_path\": \"{}\",\n  \"kernels_equal\": {kernels_equal},\n  \"avx2_differential_checked\": {avx2_checked},\n  \"serial_parallel_bit_identical\": {bit_identical},\n  \"threads\": {},\n  \"csr_speedup_over_naive\": {speedup:.3},\n  \"em_speedup_parallel_over_serial\": {em_speedup:.3},\n  \"estep_speedup\": {estep_speedup:.3},\n  \"mstep_speedup\": {mstep_speedup:.3},\n  \"estimates_equal_within\": 1e-9,\n  \"em_iterations\": {},\n  \"objective_evals\": {},\n  \"mstep_ns\": {}\n}}\n",
         d.answers.len(),
         phase_json(&st),
         phase_json(&pt),

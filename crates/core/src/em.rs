@@ -86,19 +86,12 @@ pub struct EmOptions {
     /// Bounds on `ln φ` (and `ln α`, `ln β`) keeping the optimiser inside a
     /// numerically sane box.
     pub ln_param_bound: f64,
-    /// Split the E-step across threads (cells are independent). Results are
-    /// identical to the serial path; worthwhile for tables with many cells.
-    /// Defaults to on exactly when the `parallel` cargo feature is on, so the
-    /// threaded path is what the simulator and benches actually exercise.
-    pub parallel_estep: bool,
-    /// Split every M-step objective/gradient evaluation across threads
-    /// (fixed chunk boundaries + in-order reduction, so the result is
-    /// **bit-identical** to the serial path at any thread count — tested).
-    /// Defaults to on exactly when the `parallel` cargo feature is on.
-    pub parallel_mstep: bool,
-    /// Thread count for the parallel phases; `0` (the default) means one
-    /// thread per available core. Thread count never affects the fitted
-    /// numbers, only wall-clock.
+    /// Threads the E-step and every M-step/ELBO evaluation are split
+    /// across; `0` (the default) means one per available core, `1` runs
+    /// serially. Cells are independent in the E-step, and the M-step uses
+    /// fixed chunk boundaries with an in-order reduction, so the thread
+    /// count never affects the fitted numbers — they are **bit-identical**
+    /// to the serial path (tested) — only wall-clock.
     pub threads: usize,
     /// The M-step's block-coordinate diagonal-Newton ascent: how many
     /// φ → α → β sweeps one M-step may take, and the objective gain below
@@ -118,8 +111,6 @@ impl Default for EmOptions {
             phi_prior_strength: 1.0,
             difficulty_prior_strength: 4.0,
             ln_param_bound: 12.0,
-            parallel_estep: cfg!(feature = "parallel"),
-            parallel_mstep: cfg!(feature = "parallel"),
             threads: 0,
             mstep: NewtonOptions { max_sweeps: 2, tol: 1e-8 },
         }
@@ -390,20 +381,17 @@ pub(crate) fn run_em_from(ws: &Workspace, opts: &EmOptions, warm: Option<&WarmSt
     // both are reused across every iteration of this run (pre-PR-6 the
     // E-step spawned OS threads every call, which ate its own speedup).
     let kern = kernels();
-    let estep_threads = thread_count(opts.parallel_estep, opts.threads);
-    let mstep_threads = thread_count(opts.parallel_mstep, opts.threads);
-    let pool_threads = estep_threads.max(mstep_threads);
-    let pool = (pool_threads > 1).then(|| WorkerPool::new(pool_threads));
-    let epool = pool.as_ref().filter(|_| estep_threads > 1);
-    let mpool = pool.as_ref().filter(|_| mstep_threads > 1);
+    let threads = thread_count(opts.threads);
+    let pool = (threads > 1).then(|| WorkerPool::new(threads));
+    let pool = pool.as_ref();
     let mut scratch = EmScratch::new(ws);
-    state.timings.threads = pool_threads;
+    state.timings.threads = threads;
 
     let t = Instant::now();
-    e_step_with(ws, &mut state, epool);
+    e_step_with(ws, &mut state, pool);
     state.timings.estep_ns += t.elapsed().as_nanos() as u64;
     let t = Instant::now();
-    let mut elbo = compute_elbo(ws, &state, opts, kern, &mut scratch, mpool);
+    let mut elbo = compute_elbo(ws, &state, opts, kern, &mut scratch, pool);
     state.timings.elbo_ns += t.elapsed().as_nanos() as u64;
     state.trace.push(elbo);
 
@@ -416,14 +404,14 @@ pub(crate) fn run_em_from(ws: &Workspace, opts: &EmOptions, warm: Option<&WarmSt
             prev_params.extend_from_slice(&state.ln_phi);
         }
         let t = Instant::now();
-        let evals = m_step(ws, &mut state, opts, kern, &mut scratch, mpool);
+        let evals = m_step(ws, &mut state, opts, kern, &mut scratch, pool);
         state.timings.mstep_ns += t.elapsed().as_nanos() as u64;
         state.timings.objective_evals += evals as u64;
         let t = Instant::now();
-        e_step_with(ws, &mut state, epool);
+        e_step_with(ws, &mut state, pool);
         state.timings.estep_ns += t.elapsed().as_nanos() as u64;
         let t = Instant::now();
-        let next = compute_elbo(ws, &state, opts, kern, &mut scratch, mpool);
+        let next = compute_elbo(ws, &state, opts, kern, &mut scratch, pool);
         state.timings.elbo_ns += t.elapsed().as_nanos() as u64;
         state.trace.push(next);
         state.iterations = iter;
@@ -468,13 +456,9 @@ fn initial_truths(ws: &Workspace) -> Vec<TruthDist> {
     out
 }
 
-/// Threads to split a parallel phase across: the option override, else one
-/// per available core; always `1` when the phase (or the `parallel`
-/// feature) is off.
-fn thread_count(phase_enabled: bool, requested: usize) -> usize {
-    if !cfg!(feature = "parallel") || !phase_enabled {
-        return 1;
-    }
+/// Threads to split EM across: the option override, else one per available
+/// core.
+fn thread_count(requested: usize) -> usize {
     if requested > 0 {
         requested
     } else {
@@ -1310,91 +1294,28 @@ mod tests {
     }
 
     #[test]
-    fn parallel_estep_matches_serial_exactly() {
-        let phis = [0.05, 0.2, 0.6, 2.0, 0.1, 0.4, 0.9, 1.5];
-        // 60×6 = 360 slots: above the threading threshold, so the
-        // work-stealing path genuinely runs (the default is feature-driven,
-        // so both sides pin the flag explicitly).
-        let (ws, _, _) = synth_workspace(60, 3, 3, &phis, 31);
-        let serial =
-            run_em_from(&ws, &EmOptions { parallel_estep: false, ..Default::default() }, None);
-        let parallel =
-            run_em_from(&ws, &EmOptions { parallel_estep: true, ..Default::default() }, None);
-        assert_eq!(serial.iterations, parallel.iterations);
-        assert_eq!(serial.truths, parallel.truths, "posteriors must be bit-identical");
-        assert_eq!(serial.ln_phi, parallel.ln_phi);
-        assert_eq!(serial.trace, parallel.trace);
-    }
-
-    #[test]
-    fn default_parallel_estep_matches_the_parallel_feature() {
-        assert_eq!(EmOptions::default().parallel_estep, cfg!(feature = "parallel"));
-    }
-
-    #[test]
-    fn default_parallel_mstep_matches_the_parallel_feature() {
-        assert_eq!(EmOptions::default().parallel_mstep, cfg!(feature = "parallel"));
-    }
-
-    #[test]
-    fn parallel_mstep_matches_serial_exactly() {
-        let phis = [0.05, 0.2, 0.6, 2.0, 0.1, 0.4, 0.9, 1.5];
-        // 50 rows × 6 cols × 8 workers = 2400 answers — several M-step
-        // chunks of each kind once split, and big enough that the pooled
-        // path genuinely runs chunks on more than one thread.
-        let (ws, _, _) = synth_workspace(50, 3, 3, &phis, 37);
-        let serial = run_em_from(
-            &ws,
-            &EmOptions { parallel_estep: false, parallel_mstep: false, ..Default::default() },
-            None,
-        );
-        for threads in [1usize, 2, 4, 8] {
-            let parallel = run_em_from(
-                &ws,
-                &EmOptions {
-                    parallel_estep: false,
-                    parallel_mstep: true,
-                    threads,
-                    ..Default::default()
-                },
-                None,
-            );
-            assert_eq!(serial.iterations, parallel.iterations, "threads = {threads}");
-            for (a, b) in serial.ln_phi.iter().zip(&parallel.ln_phi) {
-                assert_eq!(a.to_bits(), b.to_bits(), "ln φ not bit-identical ({threads} threads)");
-            }
-            for (a, b) in serial.ln_alpha.iter().zip(&parallel.ln_alpha) {
-                assert_eq!(a.to_bits(), b.to_bits(), "ln α not bit-identical ({threads} threads)");
-            }
-            assert_eq!(serial.truths, parallel.truths, "threads = {threads}");
-            assert_eq!(serial.trace, parallel.trace, "threads = {threads}");
-        }
-    }
-
-    #[test]
     fn fully_parallel_em_matches_serial_exactly() {
-        // Both phases pooled at once — the pool is shared across E and M.
+        // Both phases share one pool. 60 rows × 6 cols = 360 slots is above
+        // the E-step threading threshold, and the 8 workers' 2880 answers
+        // split into a continuous and a categorical M-step chunk, so every
+        // pooled path genuinely runs on more than one thread.
         let phis = [0.05, 0.2, 0.6, 2.0, 0.1, 0.4, 0.9, 1.5];
         let (ws, _, _) = synth_workspace(60, 3, 3, &phis, 41);
-        let serial = run_em_from(
-            &ws,
-            &EmOptions { parallel_estep: false, parallel_mstep: false, ..Default::default() },
-            None,
-        );
-        let parallel = run_em_from(
-            &ws,
-            &EmOptions {
-                parallel_estep: true,
-                parallel_mstep: true,
-                threads: 4,
-                ..Default::default()
-            },
-            None,
-        );
-        assert_eq!(serial.iterations, parallel.iterations);
-        assert_eq!(serial.truths, parallel.truths);
-        assert_eq!(serial.ln_phi, parallel.ln_phi);
-        assert_eq!(serial.trace, parallel.trace);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let serial = run_em_from(&ws, &EmOptions { threads: 1, ..Default::default() }, None);
+        for threads in [2usize, 4, 8] {
+            let pooled = run_em_from(&ws, &EmOptions { threads, ..Default::default() }, None);
+            assert_eq!(serial.iterations, pooled.iterations, "threads = {threads}");
+            for (name, a, b) in [
+                ("ln φ", &serial.ln_phi, &pooled.ln_phi),
+                ("ln α", &serial.ln_alpha, &pooled.ln_alpha),
+                ("ln β", &serial.ln_beta, &pooled.ln_beta),
+                ("trace", &serial.trace, &pooled.trace),
+            ] {
+                assert_eq!(bits(a), bits(b), "{name} not bit-identical ({threads} threads)");
+            }
+            assert_eq!(serial.truths, pooled.truths, "threads = {threads}");
+        }
     }
 
     #[test]

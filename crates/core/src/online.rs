@@ -201,7 +201,6 @@ impl FitState {
 pub struct OnlineTCrowd {
     answers: AnswerLog,
     fit: FitState,
-    since_refit: usize,
     /// Full EM re-fit cadence, in answers (default 64).
     pub refit_every: usize,
     /// Warm-start automatic re-fits from the previous fit's parameters
@@ -217,7 +216,7 @@ impl OnlineTCrowd {
         let matrix = AnswerMatrix::build(&answers);
         let result = model.infer_matrix(&schema, &matrix);
         let fit = FitState::from_parts(model, schema, matrix, result);
-        OnlineTCrowd { answers, fit, since_refit: 0, refit_every: 64, warm_refits: false }
+        OnlineTCrowd { answers, fit, refit_every: 64, warm_refits: false }
     }
 
     /// Start with an empty answer log for a `rows`-row table.
@@ -254,7 +253,7 @@ impl OnlineTCrowd {
             "adopted freeze does not cover the answer log"
         );
         let fit = FitState::from_parts(model, schema, matrix, result);
-        OnlineTCrowd { answers, fit, since_refit: 0, refit_every: 64, warm_refits: false }
+        OnlineTCrowd { answers, fit, refit_every: 64, warm_refits: false }
     }
 
     /// Ingest one answer: `O(1)` incremental posterior update, with a full
@@ -266,8 +265,7 @@ impl OnlineTCrowd {
             "answer value does not match its column type"
         );
         self.answers.push(answer);
-        self.since_refit += 1;
-        if self.since_refit >= self.refit_every {
+        if self.pending() >= self.refit_every {
             self.refit();
             true
         } else {
@@ -281,11 +279,10 @@ impl OnlineTCrowd {
     /// warm-started from the current result when [`Self::warm_refits`] is
     /// set, cold otherwise.
     pub fn refit(&mut self) {
-        if self.fit.epoch() != self.answers.len() {
+        if self.pending() > 0 {
             self.fit.absorb(&self.answers.slice_since(self.fit.epoch()));
         }
         self.fit.refit(self.warm_refits);
-        self.since_refit = 0;
     }
 
     /// Re-fit only if answers arrived since the last full fit. External
@@ -294,7 +291,7 @@ impl OnlineTCrowd {
     /// clean state is a no-op, so over-calling is free. Returns whether a
     /// re-fit actually ran.
     pub fn flush_refit(&mut self) -> bool {
-        if self.since_refit == 0 && self.fit.epoch() == self.answers.len() {
+        if self.pending() == 0 {
             return false;
         }
         self.refit();
@@ -302,7 +299,7 @@ impl OnlineTCrowd {
     }
 
     /// The current freeze of the answer log (kept current at refit points;
-    /// may trail the log by up to [`Self::staleness`] answers in between).
+    /// may trail the log by up to [`Self::pending`] answers in between).
     pub fn matrix(&self) -> &AnswerMatrix {
         self.fit.matrix()
     }
@@ -336,15 +333,10 @@ impl OnlineTCrowd {
         self.fit.result().estimates()
     }
 
-    /// Answers ingested since the last full fit.
-    pub fn staleness(&self) -> usize {
-        self.since_refit
-    }
-
-    /// Answers waiting for the next full fit — [`Self::staleness`] under the
-    /// name external refresh drivers read it by ("how much is batched up?").
+    /// Answers ingested since the last full fit — the ones the next refit
+    /// absorbs (the fit state trails the log by exactly these).
     pub fn pending(&self) -> usize {
-        self.since_refit
+        self.answers.len() - self.fit.epoch()
     }
 }
 
@@ -399,9 +391,9 @@ mod tests {
         for (i, &a) in d.answers.all().iter().enumerate() {
             if online.add_answer(a) {
                 refits += 1;
-                assert_eq!(online.staleness(), 0);
+                assert_eq!(online.pending(), 0);
             }
-            assert!(online.staleness() <= 10, "staleness at answer {i}");
+            assert!(online.pending() <= 10, "pending at answer {i}");
         }
         assert_eq!(refits, d.answers.len() / 10);
     }

@@ -1,10 +1,10 @@
 //! Differential property suite for the quarantine filter: inference over the
-//! filtered view must equal inference over a log *rebuilt without* the
-//! quarantined workers' answers — the filter is a view, never a mutation —
+//! filtered freeze must equal inference over a log *rebuilt without* the
+//! quarantined workers' answers — the filter never mutates the log —
 //! and releasing every exclusion must restore the unfiltered fit
 //! bit-for-bit. Exercised over both production paths:
 //!
-//! * the batch path — [`QuarantineView::to_matrix`] / `infer_matrix` against
+//! * the batch path — [`AnswerMatrix::without_workers`] / `infer_matrix` against
 //!   `infer(&log.without_workers(..))`;
 //! * the online path — [`FitState::set_exclusions`] + `refit` against the
 //!   same rebuilt-log batch fit.
@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tcrowd_core::{FitState, TCrowd};
-use tcrowd_tabular::{Answer, AnswerLog, AnswerMatrix, CellId, QuarantineView, Value, WorkerId};
+use tcrowd_tabular::{Answer, AnswerLog, AnswerMatrix, CellId, Value, WorkerId};
 
 /// A random mixed-type answer log: shape from the strategy, contents from a
 /// seeded RNG (workers repeat, cells repeat, both value kinds appear).
@@ -114,7 +114,7 @@ fn assert_fits_equal(
 }
 
 proptest! {
-    /// Batch path: EM over the quarantine view's filtered matrix equals EM
+    /// Batch path: EM over the filtered freeze equals EM
     /// over a log physically rebuilt without those workers, to 1e-9.
     #[test]
     fn filtered_view_inference_equals_rebuilt_log(
@@ -130,12 +130,10 @@ proptest! {
             log.workers().filter(|w| !excluded.contains(w)).collect();
 
         let matrix = AnswerMatrix::build(&log);
-        let view = QuarantineView::new(&matrix, &excluded);
-        // The view filters the fit, never the data underneath it.
-        prop_assert_eq!(view.matrix().len(), log.len());
-
         let model = TCrowd::default_full();
-        let filtered = model.infer_matrix(&schema, &view.to_matrix());
+        let filtered = model.infer_matrix(&schema, &matrix.without_workers(&excluded));
+        // The filter builds a new freeze; the one underneath keeps every answer.
+        prop_assert_eq!(matrix.len(), log.len());
         let rebuilt = model.infer(&schema, &log.without_workers(&excluded));
         assert_fits_equal(&filtered, &rebuilt, &excluded, &survivors, 1e-9)?;
     }

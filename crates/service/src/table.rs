@@ -484,7 +484,7 @@ impl SnapChain {
 /// persists, and the incremental-snapshot chain position.
 ///
 /// Lock order: the ingest `Mutex` is always taken before
-/// [`Durability::wal`] by direct appenders (quarantine records,
+/// the `wal` mutex by direct appenders (quarantine records,
 /// tombstones, the rebuild path); the commit thread takes the WAL mutex
 /// *alone* and its sink takes the ingest mutex *alone* — neither nests,
 /// so the commit thread can never deadlock against a direct appender.

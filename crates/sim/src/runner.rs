@@ -10,9 +10,7 @@
 use crate::pool::WorkerPool;
 use crate::stopping::{StoppingRule, TerminationState};
 use tcrowd_baselines::TruthMethod;
-use tcrowd_core::{
-    apply_answer_incrementally, AssignmentContext, AssignmentPolicy, InferenceResult, TCrowd,
-};
+use tcrowd_core::{AssignmentContext, AssignmentPolicy, FitState, TCrowd};
 use tcrowd_tabular::{
     evaluate_with_answers, Answer, AnswerLog, AnswerMatrix, QualityReport, Value,
 };
@@ -20,7 +18,8 @@ use tcrowd_tabular::{
 /// Which truth-inference method backs the run (both for the policy's context
 /// and for checkpoint evaluation).
 pub enum InferenceBackend<'a> {
-    /// T-Crowd EM inference: the policy receives a full [`InferenceResult`].
+    /// T-Crowd EM inference: the policy receives a full
+    /// [`InferenceResult`](tcrowd_core::InferenceResult).
     TCrowd(TCrowd),
     /// A baseline method: the policy context carries no inference result
     /// (matching AskIt!/CDAS/CRH/CATD, which assign without one).
@@ -100,18 +99,6 @@ pub struct RunResult {
     pub total_cost: f64,
 }
 
-/// Re-test the stopping rule against the freshest posterior.
-fn refresh_termination(
-    termination: &mut Option<TerminationState>,
-    rule: Option<&StoppingRule>,
-    inference: Option<&InferenceResult>,
-    answers: &AnswerLog,
-) {
-    if let (Some(state), Some(rule), Some(inf)) = (termination.as_mut(), rule, inference) {
-        state.update(inf, rule, |c| answers.count_for_cell(c));
-    }
-}
-
 /// The experiment runner.
 #[derive(Debug, Default)]
 pub struct Runner {
@@ -160,29 +147,25 @@ impl Runner {
             }
         }
 
-        // The runner's single evolving freeze: built once after the seed
-        // phase, then kept current by delta-merging the log tail — per-HIT
-        // assignment and every EM refresh share it instead of paying a full
-        // `O(n + cells + W·R)` rebuild each time.
-        let mut matrix = AnswerMatrix::build(&answers);
-
-        // Full EM refresh on the shared freeze. The first fit is cold; every
-        // later refit warm-starts from the previous fit's parameters (the
-        // steady-state loop converges in a handful of iterations — see
-        // `TCrowd::infer_matrix_warm` and `BENCH_refresh.json`). Between
-        // refreshes the answered cells' posteriors are updated incrementally
-        // (§5.1).
-        let full_fit =
-            |model: &TCrowd, matrix: &AnswerMatrix, prev: Option<&InferenceResult>| match prev {
-                Some(p) => model.infer_matrix_warm(&schema, matrix, p),
-                None => model.infer_matrix(&schema, matrix),
-            };
+        // T-Crowd runs drive the online-fit loop of `tcrowd_core`: one
+        // evolving freeze plus the fit over it. The first fit is cold; each
+        // loop iteration catches the fit up with the answers collected since
+        // (delta-merge + §5.1 incremental posterior updates), and every
+        // refresh point refits warm from the previous fit's parameters (see
+        // `TCrowd::infer_matrix_warm` and `BENCH_refresh.json`). Baseline
+        // runs keep the freeze built here — their policies never read it —
+        // and do no per-HIT matrix work.
+        let seed_freeze = AnswerMatrix::build(&answers);
+        let (mut fit, baseline_freeze) = match backend {
+            InferenceBackend::TCrowd(model) => {
+                let result = model.infer_matrix(&schema, &seed_freeze);
+                let fit = FitState::from_parts(model.clone(), schema.clone(), seed_freeze, result);
+                (Some(fit), None)
+            }
+            InferenceBackend::Baseline(_) => (None, Some(seed_freeze)),
+        };
 
         // ---- Main loop.
-        let mut inference: Option<InferenceResult> = match backend {
-            InferenceBackend::TCrowd(model) => Some(full_fit(model, &matrix, None)),
-            InferenceBackend::Baseline(_) => None,
-        };
         let mut points: Vec<SeriesPoint> = Vec::new();
         let mut next_checkpoint = (answers.len() as f64 / n_cells / self.cfg.checkpoint_step)
             .ceil()
@@ -191,29 +174,28 @@ impl Runner {
         let mut consecutive_empty = 0usize;
         let mut termination = self.cfg.stopping.map(|_| TerminationState::new());
 
-        let evaluate_now = |answers: &AnswerLog,
-                            matrix: &AnswerMatrix,
-                            inference: &Option<InferenceResult>|
-         -> QualityReport {
-            let estimates: Vec<Vec<Value>> = match backend {
-                InferenceBackend::TCrowd(model) => match inference {
-                    Some(r) => r.estimates(),
-                    None => model.infer_matrix(&schema, matrix).estimates(),
-                },
-                InferenceBackend::Baseline(m) => m.estimate(&schema, answers),
+        let evaluate_now = |answers: &AnswerLog, fit: &Option<FitState>| -> QualityReport {
+            let estimates: Vec<Vec<Value>> = match (fit, backend) {
+                (Some(f), _) => f.result().estimates(),
+                (None, InferenceBackend::Baseline(m)) => m.estimate(&schema, answers),
+                (None, InferenceBackend::TCrowd(_)) => unreachable!("T-Crowd runs carry a fit"),
             };
             evaluate_with_answers(&schema, &truth, &estimates, answers)
         };
+        // A full EM refresh (warm) and a re-test of the stopping rule
+        // against its posterior.
+        let refit = |fit: &mut FitState,
+                     termination: &mut Option<TerminationState>,
+                     answers: &AnswerLog| {
+            fit.refit(true);
+            if let (Some(state), Some(rule)) = (termination.as_mut(), self.cfg.stopping.as_ref()) {
+                state.update(fit.result(), rule, |c| answers.count_for_cell(c));
+            }
+        };
 
         loop {
-            // Bring the freeze up to date with the answers collected since
-            // the last iteration (per-answer work on the delta + bulk
-            // copies). Only the T-Crowd backend ever reads the freeze —
-            // matrix-side policies require its inference result, and
-            // baseline evaluation goes through the log — so baseline runs
-            // skip the merge entirely (zero per-HIT matrix work, as before).
-            if matches!(backend, InferenceBackend::TCrowd(_)) && matrix.is_stale(&answers) {
-                matrix = matrix.merge_delta(&answers.all()[matrix.epoch()..]);
+            if let Some(f) = fit.as_mut() {
+                f.catch_up(&answers.slice_since(f.epoch()));
             }
             let avg = answers.len() as f64 / n_cells;
             // Record any checkpoints we crossed.
@@ -222,17 +204,11 @@ impl Runner {
             {
                 // Refresh inference at checkpoints so the evaluation reflects
                 // all collected answers.
-                if let InferenceBackend::TCrowd(model) = backend {
-                    inference = Some(full_fit(model, &matrix, inference.as_ref()));
+                if let Some(f) = fit.as_mut() {
+                    refit(f, &mut termination, &answers);
                     hits_since_inference = 0;
-                    refresh_termination(
-                        &mut termination,
-                        self.cfg.stopping.as_ref(),
-                        inference.as_ref(),
-                        &answers,
-                    );
                 }
-                let rep = evaluate_now(&answers, &matrix, &inference);
+                let rep = evaluate_now(&answers, &fit);
                 points.push(SeriesPoint {
                     avg_answers: next_checkpoint,
                     error_rate: rep.error_rate,
@@ -251,24 +227,22 @@ impl Runner {
 
             // A worker arrives and receives a HIT.
             let worker = pool.next_worker();
-            if let (InferenceBackend::TCrowd(model), true) =
-                (backend, hits_since_inference >= self.cfg.inference_every)
+            if let (Some(f), true) =
+                (fit.as_mut(), hits_since_inference >= self.cfg.inference_every)
             {
-                inference = Some(full_fit(model, &matrix, inference.as_ref()));
+                refit(f, &mut termination, &answers);
                 hits_since_inference = 0;
-                refresh_termination(
-                    &mut termination,
-                    self.cfg.stopping.as_ref(),
-                    inference.as_ref(),
-                    &answers,
-                );
             }
             let selected = {
+                let freeze = match &fit {
+                    Some(f) => f.matrix(),
+                    None => baseline_freeze.as_ref().expect("baseline runs keep the seed freeze"),
+                };
                 let ctx = AssignmentContext {
                     schema: &schema,
                     answers: &answers,
-                    freeze: matrix.freeze_view(),
-                    inference: inference.as_ref(),
+                    freeze: freeze.freeze_view(),
+                    inference: fit.as_ref().map(FitState::result),
                     max_answers_per_cell: self.cfg.max_answers_per_cell,
                     terminated: termination.as_ref().map(|t| t.set()),
                     correlation: None,
@@ -293,21 +267,16 @@ impl Runner {
             for cell in selected {
                 let value = pool.answer(worker, cell);
                 answers.push(Answer { worker, cell, value });
-                if let Some(r) = inference.as_mut() {
-                    apply_answer_incrementally(r, worker, cell, &value);
-                }
             }
             hits_since_inference += 1;
         }
 
-        // Final full evaluation on a freeze covering every answer.
-        if let InferenceBackend::TCrowd(model) = backend {
-            if matrix.is_stale(&answers) {
-                matrix = matrix.merge_delta(&answers.all()[matrix.epoch()..]);
-            }
-            inference = Some(full_fit(model, &matrix, inference.as_ref()));
+        // Final full evaluation on a fit covering every answer.
+        if let Some(f) = fit.as_mut() {
+            f.catch_up(&answers.slice_since(f.epoch()));
+            f.refit(true);
         }
-        let final_report = evaluate_now(&answers, &matrix, &inference);
+        let final_report = evaluate_now(&answers, &fit);
         RunResult {
             label: label.to_string(),
             points,

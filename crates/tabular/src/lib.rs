@@ -17,10 +17,9 @@
 //!   carries an [`epoch`](matrix::AnswerMatrix::epoch) marking the log
 //!   length it covers, and [`FrozenView`] is the copyable
 //!   staleness-checkable handle consumers hold across log appends.
-//! * [`quarantine`] — worker-exclusion filter views: serve inference and
-//!   assignment queries minus a quarantined worker set without deleting
-//!   anything from the log ([`QuarantineView`],
-//!   [`AnswerMatrix::without_workers`](matrix::AnswerMatrix::without_workers)).
+//! * [`quarantine`] — the worker-exclusion filter: a freeze minus a
+//!   quarantined worker set, built without deleting anything from the log
+//!   ([`AnswerMatrix::without_workers`](matrix::AnswerMatrix::without_workers)).
 //! * [`dataset`] — ground truth + answers + statistics (Table 6).
 //! * [`generator`] — the synthetic data generator of §6.5.1.
 //! * [`noise`] — the γ-noise injector of §6.5.2.
@@ -57,7 +56,6 @@ pub use generator::{
 };
 pub use matrix::{AnswerMatrix, FrozenView, MatrixAnswer};
 pub use metrics::{evaluate, evaluate_with_answers, ColumnQuality, QualityReport};
-pub use quarantine::QuarantineView;
 pub use schema::{Column, ColumnType, Schema};
 pub use shared::{LogSlice, SharedLog};
 pub use value::Value;

@@ -243,7 +243,7 @@ impl AnswerMatrix {
     /// (`O(n)` bytes, no per-answer branching), the cell-offset shift is one
     /// `O(R·C)` pass, and the worker views are **spliced** from the old
     /// permutation through the per-slot shift map (see
-    /// [`Self::splice_worker_views`]) — delta-only per-answer work plus
+    /// `splice_worker_views`) — delta-only per-answer work plus
     /// bulk shifted copies — instead of being re-derived by counting sort.
     /// A full [`AnswerMatrix::build`] pays the per-answer constant on all
     /// `n` answers instead; in the steady-state refit loop (small `Δ`) the

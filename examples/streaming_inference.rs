@@ -25,7 +25,7 @@ fn main() {
     let mut online = OnlineTCrowd::empty(TCrowd::default_full(), data.schema.clone(), data.rows());
     online.refit_every = 100;
 
-    println!("answers    staleness    error rate    MNAD");
+    println!("answers      pending    error rate    MNAD");
     for (i, &answer) in data.answers.all().iter().enumerate() {
         let refit = online.add_answer(answer);
         if refit || (i + 1) % 250 == 0 {
@@ -38,7 +38,7 @@ fn main() {
             println!(
                 "{:>7}    {:>9}    {:>10.4}    {:.4}{}",
                 i + 1,
-                online.staleness(),
+                online.pending(),
                 report.error_rate.unwrap(),
                 report.mnad.unwrap(),
                 if refit { "   <- full EM re-fit" } else { "" }
