@@ -1319,6 +1319,63 @@ mod tests {
     }
 
     #[test]
+    fn parallel_estep_matches_serial_exactly() {
+        // One E-step in isolation, from start points along a real EM
+        // trajectory. 60×6 = 360 slots is above the threading threshold,
+        // so the pooled path genuinely splits the slots into chunks.
+        let phis = [0.05, 0.2, 0.6, 2.0, 0.1, 0.4, 0.9, 1.5];
+        let (ws, _, _) = synth_workspace(60, 3, 3, &phis, 31);
+        for iters in 0..4 {
+            let start = run_em_from(
+                &ws,
+                &EmOptions { threads: 1, max_iters: iters, ..Default::default() },
+                None,
+            );
+            let mut serial = start.clone();
+            e_step_with(&ws, &mut serial, None);
+            for threads in [2usize, 4, 8] {
+                let pool = WorkerPool::new(threads);
+                let mut pooled = start.clone();
+                e_step_with(&ws, &mut pooled, Some(&pool));
+                assert_eq!(serial.truths, pooled.truths, "iters = {iters}, threads = {threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn parallel_mstep_matches_serial_exactly() {
+        // One M-step in isolation, from start points along a real EM
+        // trajectory. 50 rows × 6 cols × 8 workers = 2400 answers split into
+        // a continuous and a categorical chunk, so the pooled objective
+        // genuinely runs chunks on more than one thread.
+        let phis = [0.05, 0.2, 0.6, 2.0, 0.1, 0.4, 0.9, 1.5];
+        let (ws, _, _) = synth_workspace(50, 3, 3, &phis, 37);
+        let kern = kernels();
+        let opts = EmOptions::default();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for iters in 0..4 {
+            let start = run_em_from(&ws, &EmOptions { threads: 1, max_iters: iters, ..opts }, None);
+            let mut serial = start.clone();
+            let serial_evals =
+                m_step(&ws, &mut serial, &opts, kern, &mut EmScratch::new(&ws), None);
+            for threads in [2usize, 4, 8] {
+                let pool = WorkerPool::new(threads);
+                let mut pooled = start.clone();
+                let mut scratch = EmScratch::new(&ws);
+                let evals = m_step(&ws, &mut pooled, &opts, kern, &mut scratch, Some(&pool));
+                assert_eq!(serial_evals, evals, "iters = {iters}, threads = {threads}");
+                for (name, a, b) in [
+                    ("ln φ", &serial.ln_phi, &pooled.ln_phi),
+                    ("ln α", &serial.ln_alpha, &pooled.ln_alpha),
+                    ("ln β", &serial.ln_beta, &pooled.ln_beta),
+                ] {
+                    assert_eq!(bits(a), bits(b), "{name} not bit-identical ({threads} threads)");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn warm_start_from_fitted_params_converges_fast_to_the_same_fit() {
         let phis = [0.05, 0.2, 0.6, 2.0, 0.1];
         let (ws, _, _) = synth_workspace(30, 2, 2, &phis, 17);
