@@ -5,9 +5,10 @@ use crate::json::{parse, Json};
 use crate::registry::TableRegistry;
 use crate::table::{Snapshot, TableConfig, TableState};
 use std::sync::Arc;
-use std::time::Duration;
 use tcrowd_core::TruthDist;
-use tcrowd_tabular::{Answer, CellId, Column, ColumnType, Schema, Value, WorkerId};
+use tcrowd_tabular::{
+    Answer, CellId, Column, ColumnType, Schema, Value, WorkerId, MAX_TABLE_LABELS,
+};
 
 fn err_json(status: u16, msg: impl Into<String>) -> Response {
     Response::json(status, Json::obj([("error", Json::Str(msg.into()))]))
@@ -152,8 +153,11 @@ fn schema_from_json(doc: &Json) -> Result<Schema, String> {
                     }
                     ColumnType::Categorical { labels }
                 } else if let Some(k) = col.get("cardinality").and_then(Json::as_u64) {
-                    if k == 0 || k > u32::MAX as u64 {
-                        return Err(format!("column {j}: bad cardinality"));
+                    // Bounded before the labels are built: one string each.
+                    if k == 0 || k > MAX_TABLE_LABELS {
+                        return Err(format!(
+                            "column {j}: cardinality must be 1..={MAX_TABLE_LABELS}"
+                        ));
                     }
                     ColumnType::categorical_with_cardinality(k as u32)
                 } else {
@@ -275,75 +279,29 @@ fn create_table(registry: &TableRegistry, req: &Request) -> Response {
             Ok(s) => s,
             Err(e) => return err_json(400, e),
         };
+    if let Err(e) = schema.check_table_shape(rows) {
+        return err_json(400, e);
+    }
+    // Every scalar field goes through the config parser WAL replay uses;
+    // it ignores the keys it does not know (`id`, `rows`).
     let mut config = TableConfig::default();
-    if let Some(p) = body.get("policy").and_then(Json::as_str) {
-        if let Err(e) = crate::policy::make_policy(p, rows, config.seed) {
+    let fields = match &body {
+        Json::Obj(fields) => fields.as_slice(),
+        _ => &[],
+    };
+    for (key, value) in fields {
+        let value = match value {
+            Json::Str(s) => s.clone(),
+            Json::Num(x) => x.to_string(),
+            Json::Bool(b) => b.to_string(),
+            _ => continue,
+        };
+        if let Err(e) = config.set(key, &value) {
             return err_json(400, e);
         }
-        config.policy = p.to_string();
-    }
-    if let Some(n) = body.get("refit_every").and_then(Json::as_u64) {
-        config.refit_every = (n as usize).max(1);
-    }
-    if let Some(ms) = body.get("refresh_interval_ms").and_then(Json::as_u64) {
-        config.refresh_interval = Duration::from_millis(ms.clamp(1, 60_000));
-    }
-    if let Some(w) = body.get("warm_refits").and_then(Json::as_bool) {
-        config.warm_refits = w;
-    }
-    if let Some(cap) = body.get("max_answers_per_cell").and_then(Json::as_u64) {
-        config.max_answers_per_cell = Some(cap as usize);
-    }
-    if let Some(seed) = body.get("seed").and_then(Json::as_u64) {
-        config.seed = seed;
-    }
-    if let Some(bound) = body.get("max_pending").and_then(Json::as_u64) {
-        if bound == 0 {
-            return err_json(400, "'max_pending' must be a positive integer");
-        }
-        config.max_pending = Some(bound as usize);
-    }
-    if let Some(auto) = body.get("trust_auto").and_then(Json::as_bool) {
-        config.trust_auto = auto;
-    }
-    if let Some(n) = body.get("trust_min_answers").and_then(Json::as_u64) {
-        config.trust.min_answers = n as usize;
-    }
-    if let Some(x) = body.get("trust_suspect_enter").and_then(Json::as_f64) {
-        config.trust.suspect_enter = x;
-    }
-    if let Some(x) = body.get("trust_suspect_exit").and_then(Json::as_f64) {
-        config.trust.suspect_exit = x;
-    }
-    if let Some(x) = body.get("trust_quarantine_enter").and_then(Json::as_f64) {
-        config.trust.quarantine_enter = x;
-    }
-    if let Some(x) = body.get("trust_quarantine_exit").and_then(Json::as_f64) {
-        config.trust.quarantine_exit = x;
-    }
-    if let Some(n) = body.get("trust_collusion_overlap").and_then(Json::as_u64) {
-        config.trust.collusion_min_overlap = n as usize;
-    }
-    if let Some(x) = body.get("trust_collusion_agreement").and_then(Json::as_f64) {
-        config.trust.collusion_agreement = x;
-    }
-    if let Some(n) = body.get("trust_collusion_collisions").and_then(Json::as_u64) {
-        config.trust.collusion_value_collisions = n as usize;
     }
     if let Err(e) = config.trust.validate() {
         return err_json(400, format!("trust config: {e}"));
-    }
-    if let Some(rate) = body.get("worker_rate").and_then(Json::as_f64) {
-        if !rate.is_finite() || rate < 0.0 {
-            return err_json(400, "'worker_rate' must be a finite non-negative number");
-        }
-        config.worker_rate = rate;
-    }
-    if let Some(burst) = body.get("worker_burst").and_then(Json::as_u64) {
-        if burst == 0 || burst > u32::MAX as u64 {
-            return err_json(400, "'worker_burst' must be a positive u32");
-        }
-        config.worker_burst = burst as u32;
     }
     let id = body.get("id").and_then(Json::as_str).map(str::to_string);
     match registry.create(id, schema, rows, config) {

@@ -52,7 +52,8 @@
 //! *before* they are acknowledged, each published snapshot appends an
 //! **incremental store-snapshot delta** (the answers since the last
 //! snapshot + fit parameters + chained WAL offset — `O(Δ)`, collapsed into
-//! a full base periodically), and boot recovers every table — torn WAL
+//! a full base periodically by the store's [`tcrowd_store::SnapshotChain`],
+//! which owns those rules), and boot recovers every table — torn WAL
 //! tails truncated at the first bad checksum, the pre-crash served state
 //! republished without re-running EM when the snapshot chain covers the
 //! log (see [`table::TableState::recover`]). `GET …/stats` reports

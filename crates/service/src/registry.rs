@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
-use tcrowd_store::{Store, TableMeta};
+use tcrowd_store::{SnapshotChain, Store, TableMeta};
 use tcrowd_tabular::Schema;
 
 /// What [`TableRegistry::recover`] found on boot.
@@ -111,10 +111,10 @@ impl TableRegistry {
             report.tables += 1;
             report.answers += rec.log.len() as u64;
             report.replayed += rec.replayed_tail;
-            report.with_snapshot += usize::from(rec.snapshot_epoch.is_some());
+            report.with_snapshot += usize::from(rec.snapshot_epoch().is_some());
             report.torn_tails += usize::from(rec.torn.is_some());
             let id = rec.id.clone();
-            let table = TableState::recover(rec, config, store.io_handle(), self.obs.table(&id));
+            let table = TableState::recover(rec, config, self.obs.table(&id));
             tables.insert(id, table);
         }
         Ok(report)
@@ -169,7 +169,8 @@ impl TableRegistry {
                 let wal = store
                     .create_table(&id, &meta)
                     .map_err(|e| format!("cannot persist table '{id}': {e}"))?;
-                Some(Durability::new(wal, store.table_dir(&id), meta, store.io_handle()))
+                let chain = SnapshotChain::new(store.table_dir(&id), meta, store.io_handle());
+                Some(Durability::new(wal, chain))
             }
             None => None,
         };

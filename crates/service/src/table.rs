@@ -52,11 +52,11 @@
 //! answers entered the freeze and the posterior incrementally (§5.1) and
 //! become exact at the next refit.
 //!
-//! Durability is `O(Δ)` as well: each publish appends an incremental store
-//! snapshot *delta* (the answers since the last snapshot plus the chained
-//! WAL offset); the chain is collapsed into a fresh full base once it
-//! grows past [`SNAPSHOT_CHAIN_MAX_LINKS`] links or as many answers as the
-//! base itself (geometric, so amortised cost stays linear in the delta).
+//! Durability is `O(Δ)` as well: each publish hands the snapshot to the
+//! table's [`SnapshotChain`], which appends an incremental store-snapshot
+//! *delta* (the answers since the last one plus the chained WAL offset) or
+//! collapses the chain into a full base when its rules say so. The table
+//! only maps what the chain wrote onto its events and health.
 //!
 //! Deletion uses a **tombstone guard**: `TableRegistry::remove` marks the
 //! table deleted *before* joining the refresher, so a refresh that is
@@ -65,7 +65,7 @@
 
 use crate::fresh::FreshOverlay;
 use crate::obs::{TableObs, HEALTH_DEGRADED, HEALTH_HEALTHY, HEALTH_RECOVERING};
-use crate::policy::make_policy;
+use crate::policy::{make_policy, POLICY_NAMES};
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -75,22 +75,11 @@ use tcrowd_core::{
     AssignmentContext, CorrelationModel, FitParams, FitState, InferenceResult, TCrowd,
 };
 use tcrowd_store::{
-    compact_cold_segments, count_segments, remove_snapshot, remove_snapshot_deltas, rewrite_wal,
-    write_snapshot_delta_observed, write_snapshot_observed, ChainInfo, CommitSink, CommitStatsView,
-    CommittedBatch, DurableMark, GroupCommit, IoHandle, QuarantineEntry, Recovered, SnapshotDelta,
-    TableMeta, TableSnapshot, Wal, WalPosition, WAL_FILE,
+    count_segments, CommitSink, CommitStatsView, CommittedBatch, DurableMark, GroupCommit,
+    Persisted, QuarantineEntry, Recovered, SnapshotChain, Wal, WalPosition, WAL_FILE,
 };
 use tcrowd_tabular::{Answer, AnswerLog, AnswerMatrix, CellId, Schema, SharedLog, WorkerId};
 use tcrowd_trust::{advance, score_workers, TrustConfig, TrustState, WorkerTrust};
-
-/// Chain links after which the next store snapshot collapses into a full
-/// base (bounds recovery's chain walk and the table directory's file
-/// count).
-pub const SNAPSHOT_CHAIN_MAX_LINKS: u64 = 32;
-/// Collapse is also triggered once the chain carries at least this many
-/// answers *and* as many as the base — geometric growth, so the amortised
-/// serialization cost per published answer stays constant.
-const SNAPSHOT_CHAIN_MIN_COLLAPSE: u64 = 1024;
 
 /// Per-table service policy knobs (the `POST /tables` request body).
 #[derive(Debug, Clone)]
@@ -191,85 +180,74 @@ impl TableConfig {
         kv
     }
 
-    /// Rebuild from persisted key/value pairs. Missing keys take defaults,
-    /// unknown keys are ignored — config can evolve without a WAL format
-    /// change in either direction.
+    /// Parse and validate one config key's value — the rules `POST /tables`
+    /// and WAL replay share: `refit_every` is raised to at least 1,
+    /// `refresh_interval_ms` clamped to 1..=60000, and an unparsable value,
+    /// an unknown policy, a `max_pending` or `worker_burst` of 0 and a
+    /// negative or non-finite `worker_rate` are refused. The empty string
+    /// is `None` for the optional keys. Unknown keys are ignored. The trust
+    /// thresholds are checked together afterwards ([`TrustConfig::validate`]).
+    pub fn set(&mut self, key: &str, v: &str) -> Result<(), String> {
+        let must = |what: &str| format!("'{key}' must be {what}");
+        let int = || must("a non-negative integer");
+        let num = || must("a number");
+        let boolean = || must("a boolean");
+        let t = &mut self.trust;
+        match key {
+            "max_answers_per_cell" if v.is_empty() => self.max_answers_per_cell = None,
+            "max_answers_per_cell" => {
+                self.max_answers_per_cell = Some(v.parse().map_err(|_| int())?)
+            }
+            "max_pending" if v.is_empty() => self.max_pending = None,
+            "max_pending" => match v.parse() {
+                Ok(0) | Err(_) => return Err(must("a positive integer")),
+                Ok(n) => self.max_pending = Some(n),
+            },
+            "policy" if POLICY_NAMES.contains(&v) => self.policy = v.to_string(),
+            "policy" => return Err(must(&format!("one of {}", POLICY_NAMES.join(", ")))),
+            "refit_every" => self.refit_every = v.parse::<usize>().map_err(|_| int())?.max(1),
+            "refresh_interval_ms" => {
+                let ms = v.parse::<u64>().map_err(|_| int())?;
+                self.refresh_interval = Duration::from_millis(ms.clamp(1, 60_000));
+            }
+            "seed" => self.seed = v.parse().map_err(|_| int())?,
+            "trust_auto" => self.trust_auto = v.parse().map_err(|_| boolean())?,
+            "trust_collusion_agreement" => t.collusion_agreement = v.parse().map_err(|_| num())?,
+            "trust_collusion_collisions" => {
+                t.collusion_value_collisions = v.parse().map_err(|_| int())?
+            }
+            "trust_collusion_overlap" => t.collusion_min_overlap = v.parse().map_err(|_| int())?,
+            "trust_min_answers" => t.min_answers = v.parse().map_err(|_| int())?,
+            "trust_quarantine_enter" => t.quarantine_enter = v.parse().map_err(|_| num())?,
+            "trust_quarantine_exit" => t.quarantine_exit = v.parse().map_err(|_| num())?,
+            "trust_suspect_enter" => t.suspect_enter = v.parse().map_err(|_| num())?,
+            "trust_suspect_exit" => t.suspect_exit = v.parse().map_err(|_| num())?,
+            "warm_refits" => self.warm_refits = v.parse().map_err(|_| boolean())?,
+            "worker_burst" => match v.parse() {
+                Ok(0) | Err(_) => return Err(must("a positive u32")),
+                Ok(n) => self.worker_burst = n,
+            },
+            "worker_rate" => match v.parse::<f64>() {
+                Ok(r) if r.is_finite() && r >= 0.0 => self.worker_rate = r,
+                _ => return Err(must("a finite non-negative number")),
+            },
+            _ => {}
+        }
+        Ok(())
+    }
+
+    /// Rebuild from persisted key/value pairs with the rules of
+    /// [`TableConfig::set`]. Missing keys, unknown keys and values `set`
+    /// refuses keep their defaults (an invalid set of trust thresholds
+    /// falls back to the default set) — config can evolve without a WAL
+    /// format change in either direction.
     pub fn from_kv(kv: &[(String, String)]) -> TableConfig {
         let mut config = TableConfig::default();
         for (k, v) in kv {
-            match k.as_str() {
-                "policy" if !v.is_empty() => config.policy = v.clone(),
-                "refit_every" => {
-                    if let Ok(n) = v.parse() {
-                        config.refit_every = n;
-                    }
-                }
-                "refresh_interval_ms" => {
-                    if let Ok(ms) = v.parse() {
-                        config.refresh_interval = Duration::from_millis(ms);
-                    }
-                }
-                "warm_refits" => config.warm_refits = v == "true",
-                "max_answers_per_cell" => config.max_answers_per_cell = v.parse().ok(),
-                "max_pending" => config.max_pending = v.parse().ok(),
-                "seed" => {
-                    if let Ok(s) = v.parse() {
-                        config.seed = s;
-                    }
-                }
-                "trust_auto" => config.trust_auto = v == "true",
-                "trust_min_answers" => {
-                    if let Ok(n) = v.parse() {
-                        config.trust.min_answers = n;
-                    }
-                }
-                "trust_suspect_enter" => {
-                    if let Ok(x) = v.parse() {
-                        config.trust.suspect_enter = x;
-                    }
-                }
-                "trust_suspect_exit" => {
-                    if let Ok(x) = v.parse() {
-                        config.trust.suspect_exit = x;
-                    }
-                }
-                "trust_quarantine_enter" => {
-                    if let Ok(x) = v.parse() {
-                        config.trust.quarantine_enter = x;
-                    }
-                }
-                "trust_quarantine_exit" => {
-                    if let Ok(x) = v.parse() {
-                        config.trust.quarantine_exit = x;
-                    }
-                }
-                "trust_collusion_overlap" => {
-                    if let Ok(n) = v.parse() {
-                        config.trust.collusion_min_overlap = n;
-                    }
-                }
-                "trust_collusion_agreement" => {
-                    if let Ok(x) = v.parse() {
-                        config.trust.collusion_agreement = x;
-                    }
-                }
-                "trust_collusion_collisions" => {
-                    if let Ok(n) = v.parse() {
-                        config.trust.collusion_value_collisions = n;
-                    }
-                }
-                "worker_rate" => {
-                    if let Ok(x) = v.parse() {
-                        config.worker_rate = x;
-                    }
-                }
-                "worker_burst" => {
-                    if let Ok(n) = v.parse() {
-                        config.worker_burst = n;
-                    }
-                }
-                _ => {}
-            }
+            let _ = config.set(k, v);
+        }
+        if config.trust.validate().is_err() {
+            config.trust = TrustConfig::default();
         }
         config
     }
@@ -426,74 +404,21 @@ pub struct Snapshot {
     pub(crate) fresh: FreshOverlay,
 }
 
-/// The store-snapshot chain position of a durable table: what the next
-/// incremental write chains from.
-#[derive(Debug, Clone)]
-struct SnapChain {
-    /// Whether a full base snapshot exists on disk.
-    has_base: bool,
-    /// Epoch the chain (base + links) covers.
-    epoch: u64,
-    /// Delta links on top of the base.
-    links: u64,
-    /// Next free delta sequence number.
-    next_seq: u64,
-    /// Answers in the base snapshot.
-    base_answers: u64,
-    /// Answers across the chain's links.
-    chain_answers: u64,
-    /// Force the next write to collapse into a full base (set when recovery
-    /// found a broken chain — the orphan links get cleaned up with it).
-    force_full: bool,
-    /// The fit the chain tip carries. A publish at the chain's epoch with a
-    /// different fit (the settling refit after a catch-up publish) must
-    /// still be persisted, or recovery would seed from the older fit.
-    fit: Option<FitParams>,
-}
-
-impl SnapChain {
-    fn fresh() -> SnapChain {
-        SnapChain {
-            has_base: false,
-            epoch: 0,
-            links: 0,
-            next_seq: 1,
-            base_answers: 0,
-            chain_answers: 0,
-            force_full: false,
-            fit: None,
-        }
-    }
-
-    fn from_recovery(info: &ChainInfo, epoch: u64, fit: Option<FitParams>) -> SnapChain {
-        SnapChain {
-            has_base: true,
-            epoch,
-            links: info.links,
-            next_seq: info.max_seq_on_disk + 1,
-            base_answers: info.base_answers,
-            chain_answers: info.chain_answers,
-            force_full: info.broken.is_some(),
-            fit,
-        }
-    }
-}
-
 /// The durable half of a table: its open WAL (shared with the per-table
-/// commit thread), its snapshot directory, the metadata the store
-/// persists, and the incremental-snapshot chain position.
+/// commit thread), its directory, and its store-snapshot chain.
 ///
 /// Lock order: the ingest `Mutex` is always taken before
 /// the `wal` mutex by direct appenders (quarantine records,
 /// tombstones, the rebuild path); the commit thread takes the WAL mutex
 /// *alone* and its sink takes the ingest mutex *alone* — neither nests,
 /// so the commit thread can never deadlock against a direct appender.
-/// The chain mutex is leaf-level (nothing else is acquired under it).
+/// The chain mutex comes last: the rebuild path takes it under the ingest
+/// and WAL locks, and a persist takes nothing under it but the published
+/// snapshot's read lock.
 pub struct Durability {
     wal: Arc<Mutex<Wal>>,
     dir: PathBuf,
-    meta: TableMeta,
-    chain: Mutex<SnapChain>,
+    chain: Mutex<SnapshotChain>,
     /// The commit thread coalescing concurrent `submit` batches into one
     /// `write+fsync` each ([`GroupCommit`]). `None` until
     /// [`Durability::start_committer`] runs in `spawn`, and again after
@@ -503,36 +428,19 @@ pub struct Durability {
     /// answers are both committed and in the in-memory log. Snapshots pin
     /// to this instead of syncing the WAL under the ingest lock.
     mark: DurableMark,
-    /// The store's I/O handle, kept so snapshot writes and the WAL-rebuild
-    /// repair path go through the same (possibly fault-injected) layer the
-    /// WAL does.
-    io: IoHandle,
 }
 
 impl Durability {
-    /// Wrap a freshly-created WAL (no snapshot on disk yet — the first
-    /// persisted snapshot writes a full base). `io` must be the handle of
-    /// the store that created the WAL.
-    pub fn new(wal: Wal, dir: PathBuf, meta: TableMeta, io: IoHandle) -> Durability {
-        Durability::recovered(wal, dir, meta, SnapChain::fresh(), io)
-    }
-
-    fn recovered(
-        wal: Wal,
-        dir: PathBuf,
-        meta: TableMeta,
-        chain: SnapChain,
-        io: IoHandle,
-    ) -> Durability {
-        let mark = DurableMark::starting_at(wal.position());
+    /// Wrap a table's open WAL and its snapshot chain — a new
+    /// [`SnapshotChain`] for a freshly-created table, the recovered one
+    /// otherwise.
+    pub fn new(wal: Wal, chain: SnapshotChain) -> Durability {
         Durability {
+            dir: wal.dir().to_path_buf(),
+            mark: DurableMark::starting_at(wal.position()),
             wal: Arc::new(Mutex::new(wal)),
-            dir,
-            meta,
             chain: Mutex::new(chain),
             committer: Mutex::new(None),
-            mark,
-            io,
         }
     }
 
@@ -843,24 +751,8 @@ impl TableState {
     ///    warm-seeded from the chain's fit when the table is configured
     ///    with `warm_refits`.
     /// 3. **No usable snapshot**: a cold fit of the replayed log.
-    pub fn recover(
-        rec: Recovered,
-        config: TableConfig,
-        io: IoHandle,
-        obs: Arc<TableObs>,
-    ) -> Arc<TableState> {
-        let Recovered {
-            id,
-            meta,
-            log,
-            fit,
-            wal,
-            replayed_tail,
-            snapshot_epoch,
-            chain,
-            quarantine,
-            ..
-        } = rec;
+    pub fn recover(rec: Recovered, config: TableConfig, obs: Arc<TableObs>) -> Arc<TableState> {
+        let Recovered { id, meta, log, wal, replayed_tail, mut chain, quarantine, .. } = rec;
         let schema = meta.schema.clone();
         let rows = meta.rows;
         let model = TCrowd::default_full();
@@ -876,11 +768,11 @@ impl TableState {
         // With no tail the chain tip's fit is re-evaluated, not refitted:
         // the result carries that fit (up to the seeding round trip), so the
         // chain already holds it and the first persist has nothing to add.
-        let mut chain_fit = fit.clone();
-        let result = match &fit {
+        let seed = chain.fit().cloned();
+        let result = match &seed {
             Some(seed) if replayed_tail == 0 && seed.shape_matches(rows, schema.num_columns()) => {
                 let result = model.evaluate_seeded(&schema, fit_matrix, seed);
-                chain_fit = Some(FitParams::of(&result));
+                chain.set_fit(Some(FitParams::of(&result)));
                 result
             }
             Some(seed) if config.warm_refits => {
@@ -891,17 +783,12 @@ impl TableState {
         let mut fit_state = FitState::from_parts(model, schema.clone(), matrix, result);
         fit_state.set_exclusions(excluded);
         let wal = wal.expect("recovered live table carries an open WAL");
-        let dir = wal.path().parent().expect("wal lives in a table dir").to_path_buf();
-        // Seed the chain position from the on-disk chain: the follow-up
-        // persist_store_snapshot then appends one O(tail) delta for the
-        // replayed tail (or is a no-op when the chain already covers
-        // everything) instead of rewriting a byte-identical full snapshot
-        // on every restart.
-        let chain_state = match &chain {
-            Some(info) => SnapChain::from_recovery(info, snapshot_epoch.unwrap_or(0), chain_fit),
-            None => SnapChain::fresh(),
-        };
-        let durability = Durability::recovered(wal, dir, meta, chain_state, io);
+        // The recovered chain sits at the on-disk tip: the follow-up
+        // persist_store_snapshot appends one O(tail) delta for the replayed
+        // tail (or writes nothing when the chain already covers everything)
+        // instead of rewriting a byte-identical full snapshot on every
+        // restart.
+        let durability = Durability::new(wal, chain);
         let table = Self::spawn(
             id,
             schema,
@@ -1182,13 +1069,13 @@ impl TableState {
     /// Epoch of the store-snapshot chain written for this table (`None` for
     /// memory-only tables, `Some(0)` before the first write).
     pub fn last_store_snapshot_epoch(&self) -> Option<u64> {
-        self.durability.as_ref().map(|d| lock_recover(&d.chain).epoch)
+        self.durability.as_ref().map(|d| lock_recover(&d.chain).epoch())
     }
 
     /// Incremental links in the store-snapshot chain (`None` for
     /// memory-only tables, `Some(0)` right after a full base write).
     pub fn store_snapshot_links(&self) -> Option<u64> {
-        self.durability.as_ref().map(|d| lock_recover(&d.chain).links)
+        self.durability.as_ref().map(|d| lock_recover(&d.chain).links())
     }
 
     /// Whether the deletion tombstone is set.
@@ -1647,10 +1534,9 @@ impl TableState {
         }
     }
 
-    /// Write the published snapshot to disk if it advances the persisted
-    /// chain and matches `pos` — as an `O(Δ)` chain delta normally, as a
-    /// full base when the chain is new, broken, or due for collapse.
-    /// Failures degrade the table (`persist_failures` + background
+    /// Hand the published snapshot to the table's [`SnapshotChain`] if it
+    /// matches `pos`; the chain decides between a delta, a full base and
+    /// nothing. Failures degrade the table (`persist_failures` + background
     /// re-attempt), never stop serving: the store snapshot is a recovery
     /// accelerator, the WAL already holds the data.
     fn write_store_snapshot(&self, pos: WalPosition) {
@@ -1658,10 +1544,10 @@ impl TableState {
         if self.is_deleted() {
             return;
         }
-        // The chain mutex serialises read → check → write → advance: the
-        // snapshot is read under it, so a slower writer can never write a
-        // snapshot (or a fit) that a faster one already superseded, nor
-        // chain a delta from a position that one left behind.
+        // The chain mutex serialises read → write → advance: the snapshot
+        // is read under it, so a slower writer can never write a snapshot
+        // (or a fit) that a faster one already superseded, nor chain a
+        // delta from a position that one left behind.
         let mut chain = lock_recover(&d.chain);
         let snap = self.snapshot();
         if snap.epoch as u64 != pos.answers {
@@ -1669,133 +1555,41 @@ impl TableState {
             // position matches its snapshot will write the pair.
             return;
         }
-        let fit = FitParams::of(&snap.result);
-        let same_fit = chain.fit.as_ref() == Some(&fit);
-        if chain.has_base
-            && (chain.epoch > snap.epoch as u64
-                || (chain.epoch == snap.epoch as u64 && snap.epoch != 0 && same_fit))
-        {
-            // Already persisted (possibly by the background re-attempt).
-            drop(chain);
-            self.note_persist_success();
-            return;
-        }
-        let delta_answers = snap.epoch as u64 - chain.epoch;
-        // An unchanged epoch and fit with a healthy chain has nothing to
-        // add — don't append an empty delta (an empty durable table would
-        // otherwise grow one per restart). A new fit at the same epoch goes
-        // out as a zero-answer delta carrying it.
-        if chain.has_base && delta_answers == 0 && !chain.force_full && same_fit {
-            drop(chain);
-            self.note_persist_success();
-            return;
-        }
-        let fit = Some(fit);
-        let collapse =
-            !chain.has_base || chain.force_full || chain.links + 1 > SNAPSHOT_CHAIN_MAX_LINKS || {
-                let grown = chain.chain_answers + delta_answers;
-                grown >= SNAPSHOT_CHAIN_MIN_COLLAPSE && grown >= chain.base_answers
-            };
-        let outcome = if collapse {
-            let table_snap = TableSnapshot {
-                epoch: snap.epoch as u64,
-                wal_offset: pos.offset,
-                meta: d.meta.clone(),
-                log: snap.log.to_log(),
-                fit,
-                quarantine: snap.trust.quarantine.clone(),
-            };
-            match write_snapshot_observed(&d.dir, &table_snap, &d.io, &self.obs.store_sink()) {
-                Ok(()) => {
-                    // Old links chain from epochs below the new base, so they
-                    // are unreachable the moment the base rename lands;
-                    // removing them afterwards is pure cleanup (crash-safe in
-                    // either order).
-                    if let Err(e) = remove_snapshot_deltas(&d.dir) {
-                        eprintln!(
-                            "tcrowd-service: stale snapshot deltas for table '{}' not removed: {e}",
-                            self.id
-                        );
-                    }
-                    *chain = SnapChain {
-                        has_base: true,
-                        epoch: snap.epoch as u64,
-                        links: 0,
-                        next_seq: 1,
-                        base_answers: snap.epoch as u64,
-                        chain_answers: 0,
-                        force_full: false,
-                        fit: table_snap.fit,
-                    };
-                    // The new base covers every answer at or below
-                    // `pos.offset`: rotated WAL segments wholly below it are
-                    // replay-dead weight — delete the cold prefix so
-                    // recovery's replay stays bounded by the live tail.
-                    match compact_cold_segments(&d.dir, pos.offset) {
-                        Ok(removed) if removed > 0 => {
-                            self.obs.event(
-                                "wal_compacted",
-                                format!(
-                                    "{removed} cold segment(s) removed below offset {}",
-                                    pos.offset
-                                ),
-                                None,
-                            );
-                            self.obs.store_sink().wal_segments(count_segments(&d.dir));
-                        }
-                        Ok(_) => {}
-                        // Best-effort: a failed unlink costs replay time, not
-                        // correctness — the next collapse retries.
-                        Err(e) => eprintln!(
-                            "tcrowd-service: cold WAL segments for table '{}' not compacted: {e}",
-                            self.id
+        let outcome = chain.persist(
+            pos,
+            &snap.log,
+            Some(FitParams::of(&snap.result)),
+            &snap.trust.quarantine,
+            &self.obs.store_sink(),
+        );
+        drop(chain);
+        let kind = match outcome {
+            Ok(Persisted::Nothing) => return self.note_persist_success(),
+            Ok(Persisted::Delta) => "chain delta",
+            Ok(Persisted::Base { segments_removed, cleanup }) => {
+                if let Some(e) = cleanup {
+                    eprintln!("tcrowd-service: table '{}' snapshot cleanup: {e}", self.id);
+                }
+                if segments_removed > 0 {
+                    self.obs.event(
+                        "wal_compacted",
+                        format!(
+                            "{segments_removed} cold segment(s) removed below offset {}",
+                            pos.offset
                         ),
-                    }
-                    Ok(())
+                        None,
+                    );
                 }
-                Err(e) => Err(format!("snapshot write failed: {e}")),
+                "full base"
             }
-        } else {
-            let delta = SnapshotDelta {
-                seq: chain.next_seq,
-                parent_epoch: chain.epoch,
-                epoch: snap.epoch as u64,
-                wal_offset: pos.offset,
-                answers: snap.log.range_vec(chain.epoch as usize, snap.epoch),
-                fit,
-                quarantine: snap.trust.quarantine.clone(),
-            };
-            match write_snapshot_delta_observed(&d.dir, &delta, &d.io, &self.obs.store_sink()) {
-                Ok(()) => {
-                    chain.epoch = snap.epoch as u64;
-                    chain.links += 1;
-                    chain.next_seq += 1;
-                    chain.chain_answers += delta_answers;
-                    chain.fit = delta.fit;
-                    Ok(())
-                }
-                Err(e) => Err(format!("snapshot delta write failed: {e}")),
+            Err(e) => {
+                let msg = format!("snapshot write failed: {e}");
+                self.obs.event("snapshot_persist_failed", msg.clone(), None);
+                return self.record_persist_failure(msg);
             }
         };
-        drop(chain);
-        match outcome {
-            Ok(()) => {
-                self.obs.event(
-                    "snapshot_persisted",
-                    format!(
-                        "epoch {} ({})",
-                        snap.epoch,
-                        if collapse { "full base" } else { "chain delta" }
-                    ),
-                    None,
-                );
-                self.note_persist_success()
-            }
-            Err(msg) => {
-                self.obs.event("snapshot_persist_failed", msg.clone(), None);
-                self.record_persist_failure(msg)
-            }
-        }
+        self.obs.event("snapshot_persisted", format!("epoch {} ({kind})", snap.epoch), None);
+        self.note_persist_success()
     }
 
     /// Select up to `k` cells for `worker` from the published snapshot,
@@ -2032,10 +1826,10 @@ impl TableState {
     /// Sound because of WAL-before-ack: an append either committed before
     /// its batch entered the log, or errored before the log was touched —
     /// so the in-memory log is *exactly* the acknowledged answer set, and a
-    /// log rewritten from it loses nothing and invents nothing. The stale
-    /// snapshot chain (whose offsets describe the old byte layout) is
-    /// removed first; the chain resets and the next persist writes a fresh
-    /// full base.
+    /// log rewritten from it loses nothing and invents nothing. The chain's
+    /// rebuild drops the stale snapshot chain (whose offsets describe the
+    /// old byte layout) first and resets it; the next persist writes a
+    /// fresh full base.
     fn try_rebuild_wal(&self) {
         let Some(d) = &self.durability else { return };
         if self.is_deleted() {
@@ -2055,19 +1849,19 @@ impl TableState {
                 return Ok(());
             }
             let policy = wal.fsync_policy();
-            remove_snapshot(&d.dir).map_err(|e| format!("stale snapshot removal: {e}"))?;
-            let pos = rewrite_wal(&d.dir, &d.meta, log.all(), &quarantine, &d.io)
+            let mut chain = lock_recover(&d.chain);
+            let pos = chain
+                .rebuild_wal(log.all(), &quarantine)
                 .map_err(|e| format!("log rewrite: {e}"))?;
             debug_assert_eq!(pos.answers as usize, log.len());
             let fresh =
-                Wal::open_for_append_with_io(d.dir.join(WAL_FILE), pos, policy, d.io.clone())
+                Wal::open_for_append_with_io(d.dir.join(WAL_FILE), pos, policy, chain.io().clone())
                     .map_err(|e| format!("rebuilt log reopen: {e}"))?;
             *wal = fresh;
             // Reset the durable mark under the same ingest-lock hold: the
             // rewritten log's byte layout replaces the old one, and `pos`
             // covers exactly the in-memory (acked) prefix.
             d.mark.set(pos);
-            *lock_recover(&d.chain) = SnapChain::fresh();
             Ok(())
         })();
         match result {
@@ -2354,6 +2148,42 @@ mod tests {
         // None round-trips through the empty string.
         let none = TableConfig { max_answers_per_cell: None, ..TableConfig::default() };
         assert_eq!(TableConfig::from_kv(&none.to_kv()).max_answers_per_cell, None);
+        // A replayed value create would refuse keeps its default; one create
+        // would clamp is clamped the same way.
+        let kv = |pairs: &[(&str, &str)]| -> Vec<(String, String)> {
+            pairs.iter().map(|&(k, v)| (k.to_string(), v.to_string())).collect()
+        };
+        let defaults = TableConfig::default();
+        let refused = TableConfig::from_kv(&kv(&[
+            ("policy", "bogus"),
+            ("max_pending", "0"),
+            ("worker_burst", "0"),
+            ("worker_rate", "-1"),
+            ("seed", "x"),
+        ]));
+        assert_eq!(refused.policy, defaults.policy);
+        assert_eq!(refused.max_pending, None);
+        assert_eq!(refused.worker_burst, defaults.worker_burst);
+        assert_eq!(refused.worker_rate, defaults.worker_rate);
+        assert_eq!(refused.seed, defaults.seed);
+        let clamped =
+            TableConfig::from_kv(&kv(&[("refit_every", "0"), ("refresh_interval_ms", "0")]));
+        assert_eq!(clamped.refit_every, 1);
+        assert_eq!(clamped.refresh_interval, Duration::from_millis(1));
+        let slow = TableConfig::from_kv(&kv(&[("refresh_interval_ms", "3600000")]));
+        assert_eq!(slow.refresh_interval, Duration::from_millis(60_000));
+        // Trust thresholds are checked together: an inverted hysteresis
+        // band falls back to the default thresholds.
+        let inverted = TableConfig::from_kv(&kv(&[
+            ("trust_suspect_enter", "0.9"),
+            ("trust_suspect_exit", "0.5"),
+        ]));
+        assert_eq!(inverted.trust, defaults.trust);
+        // The same rules refuse the value outright at create time.
+        let mut config = TableConfig::default();
+        assert!(config.set("max_pending", "0").unwrap_err().contains("max_pending"));
+        assert!(config.set("policy", "bogus").is_err());
+        assert!(config.set("future_knob", "1").is_ok(), "unknown keys are ignored");
     }
 
     #[test]
@@ -2603,13 +2433,13 @@ mod tests {
         assert!(t.refresh_now());
         let first = t.snapshot();
         let chain = &t.durability.as_ref().expect("durable table").chain;
-        assert_eq!(lock_recover(chain).fit, Some(FitParams::of(&first.result)));
+        assert_eq!(lock_recover(chain).fit(), Some(&FitParams::of(&first.result)));
         // Another fit of the same log: what a settling refit publishes.
         let em = tcrowd_core::EmOptions { max_iters: 1, ..Default::default() };
         let settled = TCrowd::new(tcrowd_core::TCrowdOptions { em, ..Default::default() })
             .infer(&d.schema, &d.answers);
         let settled_fit = FitParams::of(&settled);
-        assert_ne!(Some(&settled_fit), lock_recover(chain).fit.as_ref());
+        assert_ne!(Some(&settled_fit), lock_recover(chain).fit());
 
         let held = lock_recover(chain);
         std::thread::scope(|s| {
@@ -2634,7 +2464,7 @@ mod tests {
             drop(held);
             persist.join().unwrap();
         });
-        assert_eq!(lock_recover(chain).fit, Some(settled_fit), "the persisted fit is stale");
+        assert_eq!(lock_recover(chain).fit(), Some(&settled_fit), "the persisted fit is stale");
         reg.shutdown();
         std::fs::remove_dir_all(&dir).ok();
     }

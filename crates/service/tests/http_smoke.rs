@@ -185,6 +185,46 @@ fn assignment_never_offers_a_cell_the_worker_answered_since_the_snapshot() {
     server.shutdown();
 }
 
+/// A create whose shape would exhaust memory before the table holds one
+/// answer is refused with 400 before anything is allocated: a categorical
+/// column of u32::MAX labels, labels summed over columns past the cap, and
+/// 10M rows x 100 columns. The server and its other tables carry on.
+#[test]
+fn oversized_table_shapes_are_refused() {
+    let (registry, server) = tcrowd_service::start("127.0.0.1:0", 2).expect("start server");
+    let client = Client { addr: server.addr() };
+    assert_eq!(client.post("/tables", CREATE_BODY).0, 201);
+    let categorical = |k: u64| format!(r#"{{"type": "categorical", "cardinality": {k}}}"#);
+    let table = |id: &str, rows: u64, columns: Vec<String>| {
+        format!(
+            r#"{{"id": "{id}", "rows": {rows}, "schema": {{"columns": [{}]}}}}"#,
+            columns.join(",")
+        )
+    };
+    let continuous = r#"{"type": "continuous", "min": 0, "max": 1}"#.to_string();
+    for body in [
+        table("labels", 1, vec![categorical(u32::MAX as u64)]),
+        table("summed", 1, vec![categorical(40_000), categorical(40_000)]),
+        table("wide", 10_000_000, vec![continuous; 100]),
+    ] {
+        let (status, r) = client.post("/tables", &body);
+        assert_eq!(status, 400, "{r}");
+    }
+    let (status, health) = client.get("/healthz");
+    assert_eq!(status, 200);
+    assert_eq!(health.get("status").unwrap().as_str(), Some("ok"));
+    assert_eq!(health.get("tables").unwrap().as_u64(), Some(1));
+    for id in ["labels", "summed", "wide"] {
+        assert_eq!(client.get(&format!("/tables/{id}/stats")).0, 404);
+    }
+    let (status, r) =
+        client.post("/tables/smoke/answers", r#"{"worker":3,"row":0,"col":0,"value":"y"}"#);
+    assert_eq!(status, 200, "{r}");
+    assert_eq!(client.get("/tables/smoke/truth").0, 200);
+    registry.shutdown();
+    server.shutdown();
+}
+
 /// Backpressure over the wire: a table created with `max_pending` answers
 /// `429 Too Many Requests` (with a `Retry-After` hint) once the refresher
 /// lag reaches the bound, and accepts again after a refresh drains it.

@@ -7,12 +7,16 @@
 //!
 //! * a per-table append-only **write-ahead log** ([`wal`]) of
 //!   length-prefixed, CRC-32-checksummed binary records (table create,
-//!   answer-batch append, deletion tombstone) with group-commit batching and
-//!   a configurable [`FsyncPolicy`];
-//! * periodic **snapshot files** ([`snapshot`]) of `(log@epoch,
-//!   warm-startable fit parameters, WAL offset)` so recovery replays only
-//!   the WAL tail and seeds EM at the previous optimum instead of
-//!   re-running it from scratch;
+//!   answer-batch append, quarantine set, segment header, deletion
+//!   tombstone) with group-commit batching ([`commit`]), size-based segment
+//!   rotation ([`segment`]) and a configurable [`FsyncPolicy`];
+//! * an incremental **snapshot chain** ([`snapshot`]) of `(log@epoch,
+//!   warm-startable fit parameters, quarantine set, WAL offset)` — a full
+//!   base plus `O(Δ)` delta links — so recovery replays only the WAL tail
+//!   and seeds EM at the previous optimum instead of re-running it from
+//!   scratch. [`SnapshotChain`] is its one writer: it decides delta, base
+//!   or nothing at each persist, and deletes stale links and cold WAL
+//!   segments after a base;
 //! * **crash recovery** ([`Store::recover_all`]) that tolerates torn tails
 //!   (truncate at the first bad checksum) and reconstructs a bit-identical
 //!   [`tcrowd_tabular::AnswerLog`] — exactly the acknowledged prefix.
@@ -20,8 +24,8 @@
 //! ```text
 //! ingest batch ──▶ wal.append_answers (frame + CRC + flush/fsync) ──▶ ack
 //!                        │                       refresher, after publish:
-//!                        │                  snapshot.write (log@epoch, fit,
-//!                        ▼                        wal offset; tmp+rename)
+//!                        │                 SnapshotChain::persist (delta or
+//!                        ▼                   base at the WAL offset; tmp+rename)
 //!        crash ▶ Store::recover_table:
 //!          read snapshot ──▶ replay WAL tail from snapshot.wal_offset
 //!          (none/corrupt ──▶ full replay from byte 0)
@@ -37,12 +41,15 @@
 //! The store is deliberately **service-agnostic**: it persists a
 //! [`TableMeta`] (shape + schema + opaque config key/values) and batches of
 //! answers, and knows nothing about HTTP, policies or refresh cadences —
-//! `tcrowd-service` threads a [`Wal`] through its ingest path and calls
-//! [`snapshot::write_snapshot`] after each publish.
+//! `tcrowd-service` threads a [`Wal`] through its ingest path, calls
+//! [`SnapshotChain::persist`] after each publish, and repairs a poisoned
+//! log with [`SnapshotChain::rebuild_wal`]. [`Store::recover_table`] hands
+//! each table's chain back positioned at the recovered tip.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod chain;
 pub mod commit;
 pub mod crc;
 pub mod io;
@@ -52,6 +59,7 @@ pub mod snapshot;
 pub mod store;
 pub mod wal;
 
+pub use chain::{Persisted, SnapshotChain};
 pub use commit::{
     CommitSink, CommitStatsView, CommittedBatch, DurableMark, GroupCommit, MarkSink, Ticket,
 };
@@ -61,16 +69,14 @@ pub use io::{
 };
 pub use obs::{noop_obs, NoopObs, ObsHandle, ObsSink};
 pub use segment::{
-    compact_cold_segments, count_segments, parse_segment_file_name, scan_segments,
-    segment_file_name, SegmentInfo, SegmentScan, SEGMENT_MAX_DEFAULT,
+    count_segments, parse_segment_file_name, scan_segments, segment_file_name, SegmentInfo,
+    SegmentScan, SEGMENT_MAX_DEFAULT,
 };
 pub use snapshot::{
-    read_snapshot, read_snapshot_chain, remove_snapshot, remove_snapshot_deltas, write_snapshot,
-    write_snapshot_delta, write_snapshot_delta_observed, write_snapshot_delta_with_io,
-    write_snapshot_observed, write_snapshot_with_io, ChainInfo, SnapshotDelta, TableSnapshot,
-    DELTA_PREFIX, SNAPSHOT_FILE,
+    read_snapshot, read_snapshot_chain, write_snapshot, write_snapshot_delta, ChainInfo,
+    SnapshotDelta, TableSnapshot, DELTA_PREFIX, SNAPSHOT_FILE,
 };
-pub use store::{rewrite_wal, CompactReport, Recovered, SnapshotCheck, Store, VerifyReport};
+pub use store::{CompactReport, Recovered, SnapshotCheck, Store, VerifyReport};
 pub use wal::{
     record_kind_name, replay, replay_tail, truncate_to_valid, FsyncPolicy, QuarantineEntry,
     RecordInfo, TableMeta, TornTail, Wal, WalPosition, WalReplay, WAL_FILE,

@@ -24,7 +24,8 @@
 //! segments), so every rotated-away segment is complete: torn bytes can
 //! only exist in the *last* segment. Cold segments wholly below a durable
 //! snapshot-chain base offset carry no information recovery needs and are
-//! deleted by [`compact_cold_segments`] — after which segment 0 itself may
+//! deleted after each new base by [`crate::SnapshotChain::persist`] (and
+//! by [`crate::Store::compact_cold_segments`]) — after which segment 0 itself may
 //! be gone and recovery **requires** the snapshot (the chain head records
 //! its own `base_offset`/`answers_before`, so logical offsets keep
 //! working).
@@ -321,7 +322,7 @@ pub(crate) fn rotated_segment_files(dir: &Path) -> std::io::Result<Vec<PathBuf>>
 /// "snapshot corrupt → full replay" fallback for bounded recovery — after
 /// compaction, a corrupt snapshot *base* is a loud recovery error, which
 /// is why the threshold is the base offset, not the (softer) chain tip.
-pub fn compact_cold_segments(dir: &Path, covered: u64) -> std::io::Result<u64> {
+pub(crate) fn compact_cold_segments(dir: &Path, covered: u64) -> std::io::Result<u64> {
     let scan = scan_segments(dir)?;
     if scan.segments.len() <= 1 {
         return Ok(0);

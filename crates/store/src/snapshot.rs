@@ -15,10 +15,10 @@
 //!   chain covers the whole log, and warm-seed the catch-up refit when a
 //!   WAL tail extends past it;
 //! * **O(Δ) persistence** — a publish appends one delta with the answers
-//!   since the last snapshot ([`write_snapshot_delta`]) instead of
-//!   re-serializing the whole log; the writer collapses the chain back
-//!   into a full base periodically (and `tcrowd store compact` always
-//!   does), so chains stay short and geometrically bounded.
+//!   since the last snapshot instead of re-serializing the whole log;
+//!   [`SnapshotChain`](crate::SnapshotChain), the chain's only writer,
+//!   collapses it back into a full base periodically (and `tcrowd store
+//!   compact` always does), so chains stay short and geometrically bounded.
 //!
 //! A corrupt, stale or missing snapshot therefore degrades recovery time,
 //! not correctness: a corrupt *base* falls back to a full WAL replay; a
@@ -52,7 +52,7 @@
 //! intact.
 
 use crate::crc::crc32;
-use crate::io::{real_io, IoHandle};
+use crate::io::IoHandle;
 use crate::wal::{sync_dir, QuarantineEntry, TableMeta};
 use crate::StoreError;
 use std::fs::{self, File, OpenOptions};
@@ -278,10 +278,8 @@ pub struct ChainInfo {
     /// must allocate above this so a stale orphan can never shadow a new
     /// link.
     pub max_seq_on_disk: u64,
-    /// The base snapshot's epoch.
+    /// The base snapshot's epoch (also the number of answers it carries).
     pub base_epoch: u64,
-    /// Answers carried by the base snapshot.
-    pub base_answers: u64,
     /// Answers carried by the applied delta links.
     pub chain_answers: u64,
     /// `(epoch, wal_offset)` of the base and every applied link, in chain
@@ -392,47 +390,21 @@ fn write_atomically(
 }
 
 /// Atomically (tmp + rename) write `snap` as `dir`'s current **base**
-/// snapshot. Existing delta links are *not* removed here — a base write at
-/// epoch `E` makes any older delta unreachable (its `parent_epoch` no
-/// longer matches), and the caller deletes them afterwards with
-/// [`remove_snapshot_deltas`]; that order is crash-safe at every step.
-pub fn write_snapshot(dir: &Path, snap: &TableSnapshot) -> Result<(), StoreError> {
-    write_snapshot_with_io(dir, snap, &real_io())
-}
-
-/// [`write_snapshot`] with an explicit [`IoHandle`] (fault injection).
-pub fn write_snapshot_with_io(
-    dir: &Path,
-    snap: &TableSnapshot,
-    io: &IoHandle,
-) -> Result<(), StoreError> {
+/// snapshot, every fallible step routed through `io` (fault injection).
+/// Existing delta links are *not* removed here — a base at epoch `E` makes
+/// any older delta unreachable (its `parent_epoch` no longer matches) and
+/// [`SnapshotChain::persist`](crate::SnapshotChain::persist) deletes them
+/// afterwards; that order is crash-safe at every step.
+pub fn write_snapshot(dir: &Path, snap: &TableSnapshot, io: &IoHandle) -> Result<(), StoreError> {
     write_atomically(dir, TMP_FILE, SNAPSHOT_FILE, &encode(snap), io)
 }
 
-/// [`write_snapshot_with_io`] that reports the duration of a successful
-/// persist (encode + write + fsync + rename) to `obs`.
-pub fn write_snapshot_observed(
-    dir: &Path,
-    snap: &TableSnapshot,
-    io: &IoHandle,
-    obs: &crate::obs::ObsHandle,
-) -> Result<(), StoreError> {
-    let t = std::time::Instant::now();
-    write_snapshot_with_io(dir, snap, io)?;
-    obs.snapshot_persist_ns(t.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-    Ok(())
-}
-
-/// Atomically write one chain link as `snapshot.delta.<seq>`. The caller
-/// owns chain discipline: `parent_epoch` must equal the epoch already
-/// durable (base + applied deltas) and `seq` must exceed every sequence on
-/// disk ([`ChainInfo::max_seq_on_disk`]).
-pub fn write_snapshot_delta(dir: &Path, delta: &SnapshotDelta) -> Result<(), StoreError> {
-    write_snapshot_delta_with_io(dir, delta, &real_io())
-}
-
-/// [`write_snapshot_delta`] with an explicit [`IoHandle`] (fault injection).
-pub fn write_snapshot_delta_with_io(
+/// Atomically write one chain link as `snapshot.delta.<seq>` through `io`.
+/// Writes exactly what it is given: the chain rules — which `seq` and
+/// `parent_epoch` extend the durable chain, and when a base is due instead
+/// — live in [`SnapshotChain`](crate::SnapshotChain), the writer every
+/// table uses. Tests call this directly to craft broken chains.
+pub fn write_snapshot_delta(
     dir: &Path,
     delta: &SnapshotDelta,
     io: &IoHandle,
@@ -444,20 +416,6 @@ pub fn write_snapshot_delta_with_io(
         &encode_delta(delta),
         io,
     )
-}
-
-/// [`write_snapshot_delta_with_io`] that reports the duration of a
-/// successful persist to `obs`.
-pub fn write_snapshot_delta_observed(
-    dir: &Path,
-    delta: &SnapshotDelta,
-    io: &IoHandle,
-    obs: &crate::obs::ObsHandle,
-) -> Result<(), StoreError> {
-    let t = std::time::Instant::now();
-    write_snapshot_delta_with_io(dir, delta, io)?;
-    obs.snapshot_persist_ns(t.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-    Ok(())
 }
 
 /// The delta files present in `dir`, sorted by sequence number ascending.
@@ -499,7 +457,6 @@ pub fn read_snapshot_chain(dir: &Path) -> Result<Option<(TableSnapshot, ChainInf
     let mut snap = decode(&path, &bytes)?;
     let mut info = ChainInfo {
         base_epoch: snap.epoch,
-        base_answers: snap.log.len() as u64,
         link_marks: vec![(snap.epoch, snap.wal_offset)],
         ..ChainInfo::default()
     };
@@ -570,7 +527,7 @@ pub fn read_snapshot(dir: &Path) -> Result<Option<TableSnapshot>, StoreError> {
 
 /// Remove `dir`'s delta links, leaving the base snapshot in place (a base
 /// write at a newer epoch makes them unreachable; this reclaims the disk).
-pub fn remove_snapshot_deltas(dir: &Path) -> std::io::Result<()> {
+pub(crate) fn remove_snapshot_deltas(dir: &Path) -> std::io::Result<()> {
     for (_, path) in delta_files(dir)? {
         match fs::remove_file(&path) {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
@@ -585,7 +542,7 @@ pub fn remove_snapshot_deltas(dir: &Path) -> std::io::Result<()> {
 /// can never pair a stale snapshot offset with a new WAL layout). The base
 /// is removed first: a crash mid-removal must not leave a headless chain
 /// that silently re-chains under a future base.
-pub fn remove_snapshot(dir: &Path) -> std::io::Result<()> {
+pub(crate) fn remove_snapshot(dir: &Path) -> std::io::Result<()> {
     match fs::remove_file(dir.join(SNAPSHOT_FILE)) {
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
         other => other?,
@@ -596,6 +553,7 @@ pub fn remove_snapshot(dir: &Path) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::io::real_io;
     use tcrowd_tabular::{Answer, CellId, Column, ColumnType, Schema, Value};
 
     fn sample() -> TableSnapshot {
@@ -657,12 +615,12 @@ mod tests {
     fn roundtrip_including_fit() {
         let dir = tmp_dir("roundtrip");
         let snap = sample();
-        write_snapshot(&dir, &snap).unwrap();
+        write_snapshot(&dir, &snap, &real_io()).unwrap();
         assert_eq!(read_snapshot(&dir).unwrap().unwrap(), snap);
         // Overwrite with a fit-less snapshot: atomic replacement.
         let mut no_fit = sample();
         no_fit.fit = None;
-        write_snapshot(&dir, &no_fit).unwrap();
+        write_snapshot(&dir, &no_fit, &real_io()).unwrap();
         assert_eq!(read_snapshot(&dir).unwrap().unwrap(), no_fit);
         remove_snapshot(&dir).unwrap();
         assert_eq!(read_snapshot(&dir).unwrap(), None);
@@ -673,7 +631,7 @@ mod tests {
     #[test]
     fn corruption_is_detected_not_propagated() {
         let dir = tmp_dir("corrupt");
-        write_snapshot(&dir, &sample()).unwrap();
+        write_snapshot(&dir, &sample(), &real_io()).unwrap();
         let path = dir.join(SNAPSHOT_FILE);
         let good = std::fs::read(&path).unwrap();
         // Any single corrupted byte must be caught (magic, length, crc or
@@ -703,7 +661,7 @@ mod tests {
     /// Build `sample()` as a base plus `n` single-answer delta links.
     fn chained(dir: &std::path::Path, n: u32) -> Vec<Answer> {
         let base = sample();
-        write_snapshot(dir, &base).unwrap();
+        write_snapshot(dir, &base, &real_io()).unwrap();
         let mut appended = Vec::new();
         for i in 0..n {
             let epoch = base.epoch + i as u64;
@@ -720,6 +678,7 @@ mod tests {
                     fit: base.fit.clone(),
                     quarantine: vec![QuarantineEntry { worker: WorkerId(100 + i), manual: false }],
                 },
+                &real_io(),
             )
             .unwrap();
         }
@@ -797,7 +756,7 @@ mod tests {
     fn delta_rejects_epoch_answer_mismatch() {
         let dir = tmp_dir("chain_mismatch");
         let base = sample();
-        write_snapshot(&dir, &base).unwrap();
+        write_snapshot(&dir, &base, &real_io()).unwrap();
         // Claims two epochs of growth but stores one answer.
         write_snapshot_delta(
             &dir,
@@ -810,6 +769,7 @@ mod tests {
                 fit: None,
                 quarantine: Vec::new(),
             },
+            &real_io(),
         )
         .unwrap();
         let (snap, info) = read_snapshot_chain(&dir).unwrap().unwrap();
@@ -824,7 +784,7 @@ mod tests {
         let dir = tmp_dir("epoch");
         let mut snap = sample();
         snap.epoch = 9; // claims more answers than it stores
-        write_snapshot(&dir, &snap).unwrap();
+        write_snapshot(&dir, &snap, &real_io()).unwrap();
         let err = read_snapshot(&dir).unwrap_err();
         assert!(err.to_string().contains("does not match"), "{err}");
         std::fs::remove_dir_all(&dir).ok();

@@ -14,17 +14,18 @@
 //!                          are compacted)
 //! ```
 
+use crate::chain::SnapshotChain;
 use crate::io::{real_io, IoHandle};
+use crate::obs::noop_obs;
 use crate::segment;
-use crate::snapshot::{self, ChainInfo, TableSnapshot};
+use crate::snapshot;
 use crate::wal::{
     self, FsyncPolicy, QuarantineEntry, RecordInfo, TableMeta, TornTail, Wal, WalPosition, WAL_FILE,
 };
 use crate::StoreError;
 use std::fs;
 use std::path::{Path, PathBuf};
-use tcrowd_core::FitParams;
-use tcrowd_tabular::{Answer, AnswerLog};
+use tcrowd_tabular::{Answer, AnswerLog, SharedLog};
 
 /// A data directory hosting many tables' durable state.
 #[derive(Debug, Clone)]
@@ -47,19 +48,15 @@ pub struct Recovered {
     /// The recovered answer log — exactly the longest checksummed prefix of
     /// the WAL, bit-identical to what was acknowledged.
     pub log: AnswerLog,
-    /// The persisted warm-start seed, when a snapshot carried one.
-    pub fit: Option<FitParams>,
     /// The quarantined-worker set in force at the recovered position: the
     /// latest WAL Quarantine record, falling back to the snapshot's set when
     /// the replayed tail carried none.
     pub quarantine: Vec<QuarantineEntry>,
-    /// Epoch of the snapshot chain that accelerated recovery (`None` = full
-    /// replay).
-    pub snapshot_epoch: Option<u64>,
-    /// The snapshot chain's bookkeeping, when one was used — what a writer
-    /// needs to *extend* the chain (tip epoch, link count, next free
-    /// sequence) instead of starting a fresh full snapshot.
-    pub chain: Option<ChainInfo>,
+    /// The table's snapshot chain, positioned at the recovered tip so the
+    /// next persist extends it instead of writing a fresh base — forced to
+    /// a base when a link was broken, and with no base at all after a full
+    /// replay. Its fit is the persisted warm-start seed.
+    pub chain: SnapshotChain,
     /// Answers decoded from the WAL tail beyond the snapshot (equals
     /// `log.len()` on a full replay).
     pub replayed_tail: u64,
@@ -146,6 +143,14 @@ pub struct VerifyReport {
     pub errors: Vec<String>,
 }
 
+impl Recovered {
+    /// Epoch of the snapshot chain that accelerated recovery (`None` = full
+    /// replay).
+    pub fn snapshot_epoch(&self) -> Option<u64> {
+        self.chain.has_base().then(|| self.chain.epoch())
+    }
+}
+
 impl Store {
     /// Open (creating if needed) a data directory.
     pub fn open(root: impl Into<PathBuf>, policy: FsyncPolicy) -> std::io::Result<Store> {
@@ -224,9 +229,10 @@ impl Store {
 
     /// Delete this table's cold WAL segments — every non-active segment
     /// wholly below `covered`, a logical offset the durable snapshot-chain
-    /// base vouches for (see [`segment::compact_cold_segments`]). Safe
-    /// while the table is live and its WAL open: only immutable,
-    /// never-again-read files are unlinked. Returns how many were removed.
+    /// base vouches for (the removal [`SnapshotChain::persist`] runs after
+    /// each base). Safe while the table is live and its WAL open: only
+    /// immutable, never-again-read files are unlinked. Returns how many
+    /// were removed.
     pub fn compact_cold_segments(&self, id: &str, covered: u64) -> std::io::Result<u64> {
         segment::compact_cold_segments(&self.table_dir(id), covered)
     }
@@ -348,18 +354,7 @@ impl Store {
             }
         }
 
-        let (
-            meta,
-            log,
-            fit,
-            quarantine,
-            snapshot_epoch,
-            chain,
-            replayed_tail,
-            valid_len,
-            torn,
-            deleted,
-        );
+        let (meta, log, quarantine, mut chain, replayed_tail, valid_len, torn, deleted);
         match snap {
             Some((s, info)) if s.wal_offset <= log_end => {
                 // Fast path: resume decoding at the snapshot's offset; the
@@ -367,14 +362,19 @@ impl Store {
                 // tail. A Quarantine record in the tail supersedes the
                 // snapshot's set (records are full replacements).
                 let tail = tail_replay.take().expect("tail probed above");
-                snapshot_epoch = Some(s.epoch);
-                chain = Some(info);
+                chain = SnapshotChain::recovered(
+                    dir.clone(),
+                    s.meta.clone(),
+                    self.io.clone(),
+                    info,
+                    s.epoch,
+                    s.fit,
+                );
                 replayed_tail = tail.answers.len() as u64;
                 valid_len = tail.valid_len;
                 torn = tail.torn;
                 deleted = tail.deleted;
                 meta = s.meta;
-                fit = s.fit;
                 quarantine = tail.quarantine.unwrap_or(s.quarantine);
                 let mut all = s.log;
                 push_validated(&mut all, &meta, &wal_path, tail.answers)?;
@@ -395,40 +395,20 @@ impl Store {
                         s.wal_offset
                     ),
                 };
-                // Same crash-safe order as compaction: drop the stale
-                // snapshot chain (whose wal_offsets describe the OLD layout)
-                // before the rewrite, then persist a fresh full base
-                // matching the new layout. Leaving the stale chain in place
-                // would make the next recovery take this branch again —
-                // rebuilding from epoch `s.epoch` and destroying any answers
-                // acknowledged in between.
-                snapshot::remove_snapshot(&dir)?;
-                let pos = rewrite_wal(&dir, &s.meta, s.log.all(), &s.quarantine, &self.io)?;
-                snapshot::write_snapshot_with_io(
-                    &dir,
-                    &TableSnapshot {
-                        epoch: s.epoch,
-                        wal_offset: pos.offset,
-                        meta: s.meta.clone(),
-                        log: s.log.clone(),
-                        fit: s.fit.clone(),
-                        quarantine: s.quarantine.clone(),
-                    },
-                    &self.io,
-                )?;
-                snapshot_epoch = Some(s.epoch);
-                chain = Some(ChainInfo {
-                    base_epoch: s.epoch,
-                    base_answers: s.log.len() as u64,
-                    link_marks: vec![(s.epoch, pos.offset)],
-                    ..ChainInfo::default()
-                });
+                // Same crash-safe rebuild as compaction, then a fresh full
+                // base matching the new layout. Leaving the stale chain in
+                // place would make the next recovery take this branch
+                // again — rebuilding from epoch `s.epoch` and destroying any
+                // answers acknowledged in between.
+                chain = SnapshotChain::new(dir.clone(), s.meta.clone(), self.io.clone());
+                let pos = chain.rebuild_wal(s.log.all(), &s.quarantine)?;
+                let log_now = SharedLog::from_log(&s.log);
+                chain.persist(pos, &log_now, s.fit, &s.quarantine, &noop_obs())?;
                 replayed_tail = 0;
                 valid_len = pos.offset;
                 torn = Some(report);
                 deleted = false;
                 meta = s.meta;
-                fit = s.fit;
                 quarantine = s.quarantine;
                 log = s.log;
             }
@@ -447,13 +427,11 @@ impl Store {
                         ))
                     }
                 };
-                snapshot_epoch = None;
-                chain = None;
+                chain = SnapshotChain::new(dir.clone(), meta.clone(), self.io.clone());
                 replayed_tail = full.answers.len() as u64;
                 valid_len = full.valid_len;
                 torn = full.torn;
                 deleted = full.deleted;
-                fit = None;
                 quarantine = full.quarantine.unwrap_or_default();
                 let mut built = AnswerLog::new(meta.rows, meta.schema.num_columns());
                 push_validated(&mut built, &meta, &wal_path, full.answers)?;
@@ -481,10 +459,8 @@ impl Store {
             id: id.to_string(),
             meta,
             log,
-            fit: if deleted { None } else { fit },
             quarantine: if deleted { Vec::new() } else { quarantine },
-            snapshot_epoch,
-            chain: if deleted { None } else { chain },
+            chain,
             replayed_tail,
             torn,
             deleted,
@@ -557,7 +533,7 @@ impl Store {
         // implements snapshot-vs-WAL preference, head-compacted chains and
         // torn tails. Re-deriving those rules here would be a second
         // codepath to keep correct.
-        let Recovered { meta, log, fit, quarantine, wal, deleted, .. } = self.recover_table(id)?;
+        let Recovered { log, quarantine, wal, deleted, mut chain, .. } = self.recover_table(id)?;
         drop(wal);
         if deleted {
             return Err(StoreError::corrupt(
@@ -566,20 +542,10 @@ impl Store {
                 "cannot compact a deleted table".to_string(),
             ));
         }
-        snapshot::remove_snapshot(&dir)?;
-        let pos = rewrite_wal(&dir, &meta, log.all(), &quarantine, &self.io)?;
-        snapshot::write_snapshot_with_io(
-            &dir,
-            &TableSnapshot {
-                epoch: log.len() as u64,
-                wal_offset: pos.offset,
-                meta: meta.clone(),
-                log: log.clone(),
-                fit: fit.clone(),
-                quarantine: quarantine.clone(),
-            },
-            &self.io,
-        )?;
+        let fit = chain.fit().cloned();
+        let fit_preserved = fit.is_some();
+        let pos = chain.rebuild_wal(log.all(), &quarantine)?;
+        chain.persist(pos, &SharedLog::from_log(&log), fit, &quarantine, &noop_obs())?;
         Ok(CompactReport {
             wal_bytes_before,
             wal_bytes_after: pos.offset,
@@ -588,7 +554,7 @@ impl Store {
                 + log.len().div_ceil(REWRITE_CHUNK)
                 + usize::from(!quarantine.is_empty()),
             answers: log.len() as u64,
-            fit_preserved: fit.is_some(),
+            fit_preserved,
             segments_before,
             segments_after: 1,
         })
@@ -794,11 +760,9 @@ const REWRITE_CHUNK: usize = 1 << 20;
 
 /// Replace `dir`'s WAL with a freshly-written `Create + chunked Appends
 /// (+ Quarantine)` sequence holding `answers` and the current quarantined
-/// set, atomically (tmp + rename + dir sync). Public so the service's
-/// degraded-WAL repair path can rebuild a poisoned log from the in-memory
-/// answer set (which, by WAL-before-ack, is exactly the acknowledged
-/// prefix).
-pub fn rewrite_wal(
+/// set, atomically (tmp + rename + dir sync). Callers go through
+/// [`SnapshotChain::rebuild_wal`], which drops the stale chain first.
+pub(crate) fn rewrite_wal(
     dir: &Path,
     meta: &TableMeta,
     answers: &[Answer],

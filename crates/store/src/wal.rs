@@ -208,6 +208,11 @@ impl TableMeta {
     fn decode(c: &mut Cursor<'_>) -> Result<TableMeta, binary::CodecError> {
         let rows = c.u64()? as usize;
         let schema = binary::get_schema(c)?;
+        // Refuse a shape no create would accept before anything is sized
+        // by it: recovering such a table could exhaust memory.
+        schema
+            .check_table_shape(rows)
+            .map_err(|message| binary::CodecError { at: c.position(), message })?;
         let n = c.u32()? as usize;
         let mut config = Vec::with_capacity(n.min(256));
         for _ in 0..n {

@@ -158,6 +158,7 @@ fn cold_compaction_bounds_replay_and_makes_snapshot_load_bearing() {
             fit: None,
             quarantine: Vec::new(),
         },
+        &tcrowd_store::real_io(),
     )
     .unwrap();
     let removed = store.compact_cold_segments("t", pos.offset).unwrap();
@@ -167,7 +168,7 @@ fn cold_compaction_bounds_replay_and_makes_snapshot_load_bearing() {
     // Recovery now *requires* the snapshot — and still restores everything.
     let rec = store.recover_table("t").unwrap();
     assert_eq!(rec.log.all(), answers.as_slice());
-    assert_eq!(rec.snapshot_epoch, Some(answers.len() as u64));
+    assert_eq!(rec.snapshot_epoch(), Some(answers.len() as u64));
     assert_eq!(rec.replayed_tail, 0);
     let mut wal = rec.wal.unwrap();
     // The reopened chain keeps accepting appends at logical offsets.
@@ -186,7 +187,7 @@ fn cold_compaction_bounds_replay_and_makes_snapshot_load_bearing() {
 
     // Losing the snapshot after head compaction is fatal, loudly: the
     // full-replay fallback is gone by design.
-    tcrowd_store::remove_snapshot(&tdir).unwrap();
+    std::fs::remove_file(tdir.join(tcrowd_store::SNAPSHOT_FILE)).unwrap();
     assert!(store.recover_table("t").is_err());
     let report = store.verify_table("t").unwrap();
     assert!(!report.errors.is_empty(), "verify must flag an unrecoverable table");

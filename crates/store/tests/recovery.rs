@@ -99,7 +99,7 @@ fn clean_restart_recovers_the_full_log_bit_identically() {
     assert_eq!(rec.id, "t");
     assert_eq!(rec.meta, meta());
     assert_eq!(rec.log.all(), answers.as_slice());
-    assert_eq!(rec.snapshot_epoch, None);
+    assert_eq!(rec.snapshot_epoch(), None);
     assert_eq!(rec.replayed_tail, answers.len() as u64);
     assert!(rec.torn.is_none());
     // Continuous payloads survive to the bit.
@@ -134,6 +134,7 @@ fn snapshot_assisted_recovery_replays_only_the_tail() {
             fit: None,
             quarantine: Vec::new(),
         },
+        &tcrowd_store::real_io(),
     )
     .unwrap();
     for batch in &batches[half..] {
@@ -143,7 +144,7 @@ fn snapshot_assisted_recovery_replays_only_the_tail() {
     drop(wal);
 
     let rec = store.recover_table("t").unwrap();
-    assert_eq!(rec.snapshot_epoch, Some(pos.answers));
+    assert_eq!(rec.snapshot_epoch(), Some(pos.answers));
     assert_eq!(rec.replayed_tail, answers.len() as u64 - pos.answers);
     assert_eq!(rec.log.all(), answers.as_slice());
 
@@ -154,7 +155,7 @@ fn snapshot_assisted_recovery_replays_only_the_tail() {
     bytes[len / 2] ^= 0xFF;
     std::fs::write(&snap_path, &bytes).unwrap();
     let rec = store.recover_table("t").unwrap();
-    assert_eq!(rec.snapshot_epoch, None, "corrupt snapshot must be ignored");
+    assert_eq!(rec.snapshot_epoch(), None, "corrupt snapshot must be ignored");
     assert_eq!(rec.log.all(), answers.as_slice());
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -228,6 +229,7 @@ fn wal_rebuild_from_snapshot_refreshes_the_snapshot_so_later_appends_survive() {
             fit: None,
             quarantine: Vec::new(),
         },
+        &tcrowd_store::real_io(),
     )
     .unwrap();
     // Lose the WAL tail: the file ends before the snapshot's offset.
@@ -248,7 +250,7 @@ fn wal_rebuild_from_snapshot_refreshes_the_snapshot_so_later_appends_survive() {
     // disk now matches the rebuilt layout, so nothing is rolled back.
     let rec = store.recover_table("t").unwrap();
     assert_eq!(rec.log.all(), answers.as_slice(), "post-rebuild acks must survive");
-    assert_eq!(rec.snapshot_epoch, Some(30));
+    assert_eq!(rec.snapshot_epoch(), Some(30));
     assert_eq!(rec.replayed_tail, 10);
     assert!(rec.torn.is_none());
     std::fs::remove_dir_all(&dir).ok();
@@ -307,6 +309,7 @@ fn half_deleted_directory_with_surviving_snapshot_boots_instead_of_bricking() {
             fit: None,
             quarantine: Vec::new(),
         },
+        &tcrowd_store::real_io(),
     )
     .unwrap();
     std::fs::remove_file(store.table_dir("t").join(tcrowd_store::WAL_FILE)).unwrap();
@@ -389,7 +392,7 @@ fn compact_preserves_answers_and_passes_verify() {
     // Recovery after compaction sees the identical log, via the snapshot.
     let rec = store.recover_table("t").unwrap();
     assert_eq!(rec.log.all(), answers.as_slice());
-    assert_eq!(rec.snapshot_epoch, Some(answers.len() as u64));
+    assert_eq!(rec.snapshot_epoch(), Some(answers.len() as u64));
     assert_eq!(rec.replayed_tail, 0);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -430,10 +433,11 @@ fn quarantine_survives_recovery_snapshots_and_compaction() {
             fit: None,
             quarantine: set.clone(),
         },
+        &tcrowd_store::real_io(),
     )
     .unwrap();
     let rec = store.recover_table("t").unwrap();
-    assert_eq!(rec.snapshot_epoch, Some(pos.answers));
+    assert_eq!(rec.snapshot_epoch(), Some(pos.answers));
     assert_eq!(rec.quarantine, set, "snapshot set adopted when the tail is silent");
     let shrunk = vec![QuarantineEntry { worker: WorkerId(5), manual: true }];
     rec.wal.unwrap().append_quarantine(&shrunk).unwrap();
@@ -485,10 +489,11 @@ fn misaligned_snapshot_offset_falls_back_to_full_replay_without_data_loss() {
             fit: None,
             quarantine: Vec::new(),
         },
+        &tcrowd_store::real_io(),
     )
     .unwrap();
     let rec = store.recover_table("t").unwrap();
-    assert_eq!(rec.snapshot_epoch, None, "misaligned snapshot must be distrusted");
+    assert_eq!(rec.snapshot_epoch(), None, "misaligned snapshot must be distrusted");
     assert_eq!(rec.log.all(), answers.as_slice(), "no acknowledged answer may be lost");
     assert!(rec.torn.is_none());
     drop(rec);
@@ -519,6 +524,7 @@ fn verify_flags_inconsistent_snapshots() {
             fit: None,
             quarantine: Vec::new(),
         },
+        &tcrowd_store::real_io(),
     )
     .unwrap();
     let verify = store.verify_table("t").unwrap();
@@ -556,6 +562,7 @@ fn incremental_snapshot_chain_assists_recovery_and_survives_compaction() {
             fit: None,
             quarantine: Vec::new(),
         },
+        &tcrowd_store::real_io(),
     )
     .unwrap();
     for (seq, w) in marks.windows(2).enumerate() {
@@ -570,19 +577,20 @@ fn incremental_snapshot_chain_assists_recovery_and_survives_compaction() {
                 fit: None,
                 quarantine: Vec::new(),
             },
+            &tcrowd_store::real_io(),
         )
         .unwrap();
     }
 
     let rec = store.recover_table("t").unwrap();
     assert_eq!(rec.log.all(), answers.as_slice());
-    assert_eq!(rec.snapshot_epoch, Some(70), "chain tip is the resume point");
+    assert_eq!(rec.snapshot_epoch(), Some(70), "chain tip is the resume point");
     assert_eq!(rec.replayed_tail, 20, "only the post-chain tail is replayed");
-    let chain = rec.chain.as_ref().expect("chain info");
-    assert_eq!(chain.links, 2);
-    assert_eq!(chain.base_epoch, 30);
-    assert_eq!(chain.chain_answers, 40);
-    assert!(chain.broken.is_none());
+    let chain = &rec.chain;
+    assert_eq!(chain.links(), 2);
+    assert_eq!(chain.base_epoch(), 30);
+    assert_eq!(chain.chain_answers(), 40);
+    assert!(chain.broken().is_none());
     drop(rec);
 
     let verify = store.verify_table("t").unwrap();
@@ -655,7 +663,7 @@ proptest! {
                         log: log_of(&answers[..pos.answers as usize]),
                         fit: None,
                         quarantine: Vec::new(),
-                    }).unwrap();
+                    }, &tcrowd_store::real_io()).unwrap();
                     chain_files.push((tdir.join(tcrowd_store::SNAPSHOT_FILE), pos.answers, pos.offset));
                 }
                 Some(p) if pos.answers > p => {
@@ -668,7 +676,7 @@ proptest! {
                         answers: answers[p as usize..pos.answers as usize].to_vec(),
                         fit: None,
                         quarantine: Vec::new(),
-                    }).unwrap();
+                    }, &tcrowd_store::real_io()).unwrap();
                     chain_files.push((
                         tdir.join(format!("{}{seq}", tcrowd_store::DELTA_PREFIX)),
                         pos.answers,
@@ -715,9 +723,9 @@ proptest! {
             Some(expected) => {
                 let rec = store.recover_table("t").unwrap();
                 prop_assert_eq!(rec.log.all(), &answers[..expected as usize]);
-                if let (Some(info), false) = (&rec.chain, rebuilt) {
+                if rec.chain.has_base() && !rebuilt {
                     prop_assert_eq!(
-                        info.links + 1, valid_links.len() as u64,
+                        rec.chain.links() + 1, valid_links.len() as u64,
                         "applied links must be exactly the uncorrupted prefix"
                     );
                 }
@@ -803,7 +811,7 @@ proptest! {
         // write/rename faults on the snapshot path); a failure may leave a
         // tmp file behind, which recovery must ignore.
         if let Some(pos) = last_pos {
-            let _ = tcrowd_store::write_snapshot_with_io(
+            let _ = tcrowd_store::write_snapshot(
                 &store.table_dir("t"),
                 &TableSnapshot {
                     epoch: pos.answers,

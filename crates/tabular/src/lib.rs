@@ -56,6 +56,6 @@ pub use generator::{
 };
 pub use matrix::{AnswerMatrix, FrozenView, MatrixAnswer};
 pub use metrics::{evaluate, evaluate_with_answers, ColumnQuality, QualityReport};
-pub use schema::{Column, ColumnType, Schema};
+pub use schema::{Column, ColumnType, Schema, MAX_TABLE_CELLS, MAX_TABLE_LABELS};
 pub use shared::{LogSlice, SharedLog};
 pub use value::Value;

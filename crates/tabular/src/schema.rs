@@ -6,6 +6,13 @@
 
 use crate::value::Value;
 
+/// Most cells a table may hold, a categorical cell counted once per label:
+/// an empty table already allocates an index slot per cell and a posterior
+/// entry per label, so this bounds what creating or recovering one costs.
+pub const MAX_TABLE_CELLS: u64 = 1 << 24;
+/// Most labels a table's categorical columns may declare together.
+pub const MAX_TABLE_LABELS: u64 = 1 << 16;
+
 /// The datatype and domain of one column.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ColumnType {
@@ -116,6 +123,32 @@ impl Schema {
     pub fn max_cardinality(&self) -> u32 {
         self.columns.iter().filter_map(|c| c.ty.cardinality()).max().unwrap_or(0)
     }
+
+    /// Check that a `rows`-row table of this schema stays within
+    /// [`MAX_TABLE_LABELS`] and [`MAX_TABLE_CELLS`] — before anything is
+    /// allocated for it, whether it comes from a create request or from
+    /// recovered metadata.
+    pub fn check_table_shape(&self, rows: usize) -> Result<(), String> {
+        let labels = |c: &Column| match &c.ty {
+            ColumnType::Categorical { labels } => labels.len() as u64,
+            ColumnType::Continuous { .. } => 0,
+        };
+        let total: u64 = self.columns.iter().map(labels).sum();
+        if total > MAX_TABLE_LABELS {
+            return Err(format!(
+                "the schema declares {total} labels; a table may have at most {MAX_TABLE_LABELS}"
+            ));
+        }
+        let per_row: u64 = self.columns.iter().map(|c| labels(c).max(1)).sum();
+        let cells = (rows as u64).saturating_mul(per_row);
+        if cells > MAX_TABLE_CELLS {
+            return Err(format!(
+                "{rows} rows of {per_row} cell slots (one per label of a categorical column) \
+                 exceed the {MAX_TABLE_CELLS} a table may hold"
+            ));
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -132,6 +165,20 @@ mod tests {
                 Column::new("Nationality", ColumnType::categorical_with_cardinality(10)),
             ],
         )
+    }
+
+    #[test]
+    fn table_shape_bounds_cells_and_labels() {
+        let s = mixed_schema(); // 4 + 1 + 10 = 15 cell slots per row
+        assert!(s.check_table_shape(1000).is_ok());
+        assert!(s.check_table_shape((MAX_TABLE_CELLS / 15) as usize).is_ok());
+        assert!(s.check_table_shape((MAX_TABLE_CELLS / 15) as usize + 1).is_err());
+        let wide = Schema::new(
+            "w",
+            "k",
+            vec![Column::new("c", ColumnType::categorical_with_cardinality(1 << 16 | 1))],
+        );
+        assert!(wide.check_table_shape(1).unwrap_err().contains("labels"));
     }
 
     #[test]
