@@ -279,9 +279,6 @@ fn create_table(registry: &TableRegistry, req: &Request) -> Response {
             Ok(s) => s,
             Err(e) => return err_json(400, e),
         };
-    if let Err(e) = schema.check_table_shape(rows) {
-        return err_json(400, e);
-    }
     // Every scalar field goes through the config parser WAL replay uses;
     // it ignores the keys it does not know (`id`, `rows`).
     let mut config = TableConfig::default();

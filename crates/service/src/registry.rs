@@ -121,7 +121,8 @@ impl TableRegistry {
     }
 
     /// Create and register a table. `id: None` allocates `table-N`.
-    /// Fails (leaving the registry unchanged) if the id is taken or empty.
+    /// Fails (leaving the registry unchanged) if the id is taken or empty,
+    /// or the shape is past [`Schema::check_table_shape`]'s caps.
     /// On a store-backed registry the table's WAL Create record is durable
     /// before this returns.
     pub fn create(
@@ -134,6 +135,7 @@ impl TableRegistry {
         if rows == 0 {
             return Err("a table needs at least one row".into());
         }
+        schema.check_table_shape(rows)?;
         if config.max_pending.is_none() {
             config.max_pending = self.default_max_pending();
         }
@@ -294,6 +296,11 @@ mod tests {
         assert!(reg.create(Some("one".into()), schema(), 5, TableConfig::default()).is_err());
         assert!(reg.create(Some("".into()), schema(), 5, TableConfig::default()).is_err());
         assert!(reg.create(None, schema(), 0, TableConfig::default()).is_err());
+        // A shape past the tabular caps (4 cell slots per row here) is
+        // refused on every create path, not only over HTTP.
+        let too_tall = tcrowd_tabular::MAX_TABLE_CELLS as usize / 4 + 1;
+        let err = reg.create(None, schema(), too_tall, TableConfig::default()).err().unwrap();
+        assert!(err.contains("cell slots"), "{err}");
         // Ids that would not survive the HTTP router's path split/decoding
         // (or would escape the store's tables/ directory).
         for bad in ["a/b", "a b", "a+b", "a%2Fb", "é", ".", "..", &"x".repeat(65)] {

@@ -76,7 +76,7 @@ use tcrowd_core::{
 };
 use tcrowd_store::{
     count_segments, CommitSink, CommitStatsView, CommittedBatch, DurableMark, GroupCommit,
-    Persisted, QuarantineEntry, Recovered, SnapshotChain, Wal, WalPosition, WAL_FILE,
+    Persisted, QuarantineEntry, Recovered, SnapshotChain, Wal, WalPosition,
 };
 use tcrowd_tabular::{Answer, AnswerLog, AnswerMatrix, CellId, Schema, SharedLog, WorkerId};
 use tcrowd_trust::{advance, score_workers, TrustConfig, TrustState, WorkerTrust};
@@ -140,44 +140,43 @@ impl Default for TableConfig {
     }
 }
 
+/// Every config key, sorted by name, with its value as the WAL Create record
+/// stores it — the one list [`TableConfig::to_kv`] writes and
+/// [`TableConfig::set`] accepts.
+const CONFIG_KEYS: &[(&str, ConfigValue)] = &[
+    ("max_answers_per_cell", |c| opt_string(c.max_answers_per_cell)),
+    ("max_pending", |c| opt_string(c.max_pending)),
+    ("policy", |c| c.policy.clone()),
+    ("refit_every", |c| c.refit_every.to_string()),
+    ("refresh_interval_ms", |c| (c.refresh_interval.as_millis() as u64).to_string()),
+    ("seed", |c| c.seed.to_string()),
+    ("trust_auto", |c| c.trust_auto.to_string()),
+    ("trust_collusion_agreement", |c| c.trust.collusion_agreement.to_string()),
+    ("trust_collusion_collisions", |c| c.trust.collusion_value_collisions.to_string()),
+    ("trust_collusion_overlap", |c| c.trust.collusion_min_overlap.to_string()),
+    ("trust_min_answers", |c| c.trust.min_answers.to_string()),
+    ("trust_quarantine_enter", |c| c.trust.quarantine_enter.to_string()),
+    ("trust_quarantine_exit", |c| c.trust.quarantine_exit.to_string()),
+    ("trust_suspect_enter", |c| c.trust.suspect_enter.to_string()),
+    ("trust_suspect_exit", |c| c.trust.suspect_exit.to_string()),
+    ("warm_refits", |c| c.warm_refits.to_string()),
+    ("worker_burst", |c| c.worker_burst.to_string()),
+    ("worker_rate", |c| c.worker_rate.to_string()),
+];
+
+/// How [`CONFIG_KEYS`] reads one key's value.
+type ConfigValue = fn(&TableConfig) -> String;
+
+/// The optional keys store `None` as the empty string.
+fn opt_string(v: Option<usize>) -> String {
+    v.map(|v| v.to_string()).unwrap_or_default()
+}
+
 impl TableConfig {
     /// Serialize as the sorted key/value pairs the store's `TableMeta`
     /// persists (the WAL Create record).
     pub fn to_kv(&self) -> Vec<(String, String)> {
-        let mut kv = vec![
-            (
-                "max_answers_per_cell".to_string(),
-                self.max_answers_per_cell.map(|v| v.to_string()).unwrap_or_default(),
-            ),
-            (
-                "max_pending".to_string(),
-                self.max_pending.map(|v| v.to_string()).unwrap_or_default(),
-            ),
-            ("policy".to_string(), self.policy.clone()),
-            ("refit_every".to_string(), self.refit_every.to_string()),
-            (
-                "refresh_interval_ms".to_string(),
-                (self.refresh_interval.as_millis() as u64).to_string(),
-            ),
-            ("seed".to_string(), self.seed.to_string()),
-            ("trust_auto".to_string(), self.trust_auto.to_string()),
-            ("trust_collusion_agreement".to_string(), self.trust.collusion_agreement.to_string()),
-            (
-                "trust_collusion_collisions".to_string(),
-                self.trust.collusion_value_collisions.to_string(),
-            ),
-            ("trust_collusion_overlap".to_string(), self.trust.collusion_min_overlap.to_string()),
-            ("trust_min_answers".to_string(), self.trust.min_answers.to_string()),
-            ("trust_quarantine_enter".to_string(), self.trust.quarantine_enter.to_string()),
-            ("trust_quarantine_exit".to_string(), self.trust.quarantine_exit.to_string()),
-            ("trust_suspect_enter".to_string(), self.trust.suspect_enter.to_string()),
-            ("trust_suspect_exit".to_string(), self.trust.suspect_exit.to_string()),
-            ("warm_refits".to_string(), self.warm_refits.to_string()),
-            ("worker_burst".to_string(), self.worker_burst.to_string()),
-            ("worker_rate".to_string(), self.worker_rate.to_string()),
-        ];
-        kv.sort();
-        kv
+        CONFIG_KEYS.iter().map(|(key, get)| (key.to_string(), get(self))).collect()
     }
 
     /// Parse and validate one config key's value — the rules `POST /tables`
@@ -185,9 +184,14 @@ impl TableConfig {
     /// `refresh_interval_ms` clamped to 1..=60000, and an unparsable value,
     /// an unknown policy, a `max_pending` or `worker_burst` of 0 and a
     /// negative or non-finite `worker_rate` are refused. The empty string
-    /// is `None` for the optional keys. Unknown keys are ignored. The trust
-    /// thresholds are checked together afterwards ([`TrustConfig::validate`]).
+    /// is `None` for the optional keys. Keys not in `CONFIG_KEYS` are
+    /// ignored, so a value is never accepted here and then dropped by
+    /// [`TableConfig::to_kv`]. The trust thresholds are checked together
+    /// afterwards ([`TrustConfig::validate`]).
     pub fn set(&mut self, key: &str, v: &str) -> Result<(), String> {
+        if !CONFIG_KEYS.iter().any(|&(name, _)| name == key) {
+            return Ok(());
+        }
         let must = |what: &str| format!("'{key}' must be {what}");
         let int = || must("a non-negative integer");
         let num = || must("a number");
@@ -231,7 +235,7 @@ impl TableConfig {
                 Ok(r) if r.is_finite() && r >= 0.0 => self.worker_rate = r,
                 _ => return Err(must("a finite non-negative number")),
             },
-            _ => {}
+            _ => return Err(format!("config key '{key}' has no parse rule")),
         }
         Ok(())
     }
@@ -1848,16 +1852,12 @@ impl TableState {
                 // an fsync refused by a poisoned WAL that a restart fixed).
                 return Ok(());
             }
-            let policy = wal.fsync_policy();
             let mut chain = lock_recover(&d.chain);
-            let pos = chain
-                .rebuild_wal(log.all(), &quarantine)
+            *wal = chain
+                .rebuild_wal(log.all(), &quarantine, wal.fsync_policy())
                 .map_err(|e| format!("log rewrite: {e}"))?;
+            let pos = wal.position();
             debug_assert_eq!(pos.answers as usize, log.len());
-            let fresh =
-                Wal::open_for_append_with_io(d.dir.join(WAL_FILE), pos, policy, chain.io().clone())
-                    .map_err(|e| format!("rebuilt log reopen: {e}"))?;
-            *wal = fresh;
             // Reset the durable mark under the same ingest-lock hold: the
             // rewritten log's byte layout replaces the old one, and `pos`
             // covers exactly the in-memory (acked) prefix.
@@ -2142,6 +2142,12 @@ mod tests {
         assert_eq!(back.trust, config.trust);
         assert_eq!(back.worker_rate, config.worker_rate);
         assert_eq!(back.worker_burst, config.worker_burst);
+        // `set` has a rule for every key `to_kv` writes: each refuses junk.
+        assert!(CONFIG_KEYS.windows(2).all(|w| w[0].0 < w[1].0), "sorted by name");
+        for (key, _) in CONFIG_KEYS {
+            let err = TableConfig::default().set(key, "junk").unwrap_err();
+            assert!(err.starts_with(&format!("'{key}' must be")), "{err}");
+        }
         // Unknown keys and absent keys degrade to defaults, not errors.
         let sparse = TableConfig::from_kv(&[("future_knob".into(), "1".into())]);
         assert_eq!(sparse.policy, TableConfig::default().policy);

@@ -20,7 +20,7 @@ use crate::snapshot::{
     SnapshotDelta, TableSnapshot,
 };
 use crate::store::rewrite_wal;
-use crate::wal::{QuarantineEntry, TableMeta, WalPosition};
+use crate::wal::{FsyncPolicy, QuarantineEntry, TableMeta, Wal, WalPosition, WAL_FILE};
 use crate::StoreError;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -155,11 +155,6 @@ impl SnapshotChain {
         self.fit = fit;
     }
 
-    /// The I/O handle every chain write goes through.
-    pub fn io(&self) -> &IoHandle {
-        &self.io
-    }
-
     /// Persist `(log, fit, quarantine)` at `pos`, the WAL record boundary
     /// at `log.len()` answers, by the rules in the module docs; timings and
     /// the segment count go to `obs`. On error the position is unchanged.
@@ -244,15 +239,18 @@ impl SnapshotChain {
     /// Replace the WAL with one fresh segment holding `answers` and the
     /// `quarantine` set, and reset to a chain with no base. The old chain
     /// describes the old byte layout, so it is removed first: a crash can
-    /// never pair a stale offset with the new log. Returns the log's end.
+    /// never pair a stale offset with the new log. Returns the rewritten
+    /// WAL, open for appending at its end with `policy`.
     pub fn rebuild_wal(
         &mut self,
         answers: &[Answer],
         quarantine: &[QuarantineEntry],
-    ) -> Result<WalPosition, StoreError> {
+        policy: FsyncPolicy,
+    ) -> Result<Wal, StoreError> {
         *self = SnapshotChain::new(self.dir.clone(), self.meta.clone(), self.io.clone());
         remove_snapshot(&self.dir)?;
-        rewrite_wal(&self.dir, &self.meta, answers, quarantine, &self.io)
+        let pos = rewrite_wal(&self.dir, &self.meta, answers, quarantine, &self.io)?;
+        Wal::open_for_append_with_io(self.dir.join(WAL_FILE), pos, policy, self.io.clone())
     }
 }
 

@@ -401,7 +401,7 @@ impl Store {
                 // again — rebuilding from epoch `s.epoch` and destroying any
                 // answers acknowledged in between.
                 chain = SnapshotChain::new(dir.clone(), s.meta.clone(), self.io.clone());
-                let pos = chain.rebuild_wal(s.log.all(), &s.quarantine)?;
+                let pos = chain.rebuild_wal(s.log.all(), &s.quarantine, self.policy)?.position();
                 let log_now = SharedLog::from_log(&s.log);
                 chain.persist(pos, &log_now, s.fit, &s.quarantine, &noop_obs())?;
                 replayed_tail = 0;
@@ -544,7 +544,7 @@ impl Store {
         }
         let fit = chain.fit().cloned();
         let fit_preserved = fit.is_some();
-        let pos = chain.rebuild_wal(log.all(), &quarantine)?;
+        let pos = chain.rebuild_wal(log.all(), &quarantine, self.policy)?.position();
         chain.persist(pos, &SharedLog::from_log(&log), fit, &quarantine, &noop_obs())?;
         Ok(CompactReport {
             wal_bytes_before,

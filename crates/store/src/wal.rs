@@ -207,12 +207,10 @@ impl TableMeta {
 
     fn decode(c: &mut Cursor<'_>) -> Result<TableMeta, binary::CodecError> {
         let rows = c.u64()? as usize;
+        // No shape bound here: the create-time caps
+        // (`Schema::check_table_shape`) are newer than some tables on disk,
+        // and a table an earlier create accepted must still recover.
         let schema = binary::get_schema(c)?;
-        // Refuse a shape no create would accept before anything is sized
-        // by it: recovering such a table could exhaust memory.
-        schema
-            .check_table_shape(rows)
-            .map_err(|message| binary::CodecError { at: c.position(), message })?;
         let n = c.u32()? as usize;
         let mut config = Vec::with_capacity(n.min(256));
         for _ in 0..n {

@@ -161,6 +161,68 @@ fn snapshot_assisted_recovery_replays_only_the_tail() {
 }
 
 #[test]
+fn tables_past_the_create_caps_still_recover() {
+    // Earlier versions created tables of any label count and up to 10M rows;
+    // the create-time caps must not make such a table unrecoverable, neither
+    // from the WAL's Create record nor from a snapshot's meta.
+    let dir = fresh_dir("past_caps");
+    let store = Store::open(&dir, FsyncPolicy::Flush).unwrap();
+    let shapes = [("tall", 1usize << 20, 17u32), ("wide", 257, 1 << 16), ("labels", 1, 70_000)];
+    let mut expected = Vec::new();
+    for (id, rows, labels) in shapes {
+        let meta = TableMeta {
+            rows,
+            schema: Schema::new(
+                "t",
+                "k",
+                vec![Column::new("c", ColumnType::categorical_with_cardinality(labels))],
+            ),
+            config: Vec::new(),
+        };
+        assert!(meta.schema.check_table_shape(rows).is_err(), "{id} is past the caps");
+        let answers: Vec<Answer> = (0..4u32)
+            .map(|i| Answer {
+                worker: WorkerId(i),
+                cell: CellId::new(if i % 2 == 0 { 0 } else { rows as u32 - 1 }, 0),
+                value: Value::Categorical(labels - 1 - i),
+            })
+            .collect();
+        let mut wal = store.create_table(id, &meta).unwrap();
+        wal.append_answers(&answers[..2]).unwrap();
+        let pos = wal.position();
+        if id != "labels" {
+            let mut log = tcrowd_tabular::AnswerLog::new(rows, 1);
+            for a in &answers[..2] {
+                log.push(*a);
+            }
+            let snap = TableSnapshot {
+                epoch: pos.answers,
+                wal_offset: pos.offset,
+                meta: meta.clone(),
+                log,
+                fit: None,
+                quarantine: Vec::new(),
+            };
+            tcrowd_store::write_snapshot(&store.table_dir(id), &snap, &tcrowd_store::real_io())
+                .unwrap();
+        }
+        wal.append_answers(&answers[2..]).unwrap();
+        wal.sync().unwrap();
+        expected.push((id, meta, answers, (id != "labels").then_some(pos.answers)));
+    }
+    let recs = store.recover_all().unwrap();
+    assert_eq!(recs.len(), shapes.len());
+    for (id, meta, answers, snapshot_epoch) in expected {
+        let rec = recs.iter().find(|r| r.id == id).unwrap();
+        assert_eq!(rec.meta, meta, "{id}");
+        assert_eq!(rec.log.all(), answers.as_slice(), "{id}");
+        assert_eq!(rec.snapshot_epoch(), snapshot_epoch, "{id}");
+        assert!(rec.torn.is_none(), "{id}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn recovered_wal_accepts_further_appends() {
     let dir = fresh_dir("continue");
     let store = Store::open(&dir, FsyncPolicy::Always).unwrap();

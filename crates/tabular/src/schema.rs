@@ -6,11 +6,11 @@
 
 use crate::value::Value;
 
-/// Most cells a table may hold, a categorical cell counted once per label:
-/// an empty table already allocates an index slot per cell and a posterior
-/// entry per label, so this bounds what creating or recovering one costs.
+/// Most cells a new table may hold, a categorical cell counted once per
+/// label: an empty table already allocates an index slot per cell and a
+/// posterior entry per label, so this bounds what creating one costs.
 pub const MAX_TABLE_CELLS: u64 = 1 << 24;
-/// Most labels a table's categorical columns may declare together.
+/// Most labels a new table's categorical columns may declare together.
 pub const MAX_TABLE_LABELS: u64 = 1 << 16;
 
 /// The datatype and domain of one column.
@@ -124,10 +124,10 @@ impl Schema {
         self.columns.iter().filter_map(|c| c.ty.cardinality()).max().unwrap_or(0)
     }
 
-    /// Check that a `rows`-row table of this schema stays within
-    /// [`MAX_TABLE_LABELS`] and [`MAX_TABLE_CELLS`] — before anything is
-    /// allocated for it, whether it comes from a create request or from
-    /// recovered metadata.
+    /// Check that a new `rows`-row table of this schema stays within
+    /// [`MAX_TABLE_LABELS`] and [`MAX_TABLE_CELLS`], before anything is
+    /// allocated for it. Applied at creation only: a table that an earlier
+    /// version created past these caps still recovers.
     pub fn check_table_shape(&self, rows: usize) -> Result<(), String> {
         let labels = |c: &Column| match &c.ty {
             ColumnType::Categorical { labels } => labels.len() as u64,
