@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Run every CI bench gate locally against the BENCH_*.json files in the
-# repo root — the exact scripts .github/workflows/ci.yml runs, so a green
-# run here means the gate steps will be green in CI (given the same
-# numbers). Pass gate names to run a subset:
+# Run every CI gate locally — the code-size guard over the sources, and the
+# bench gates against the BENCH_*.json files in the repo root — the exact
+# scripts .github/workflows/ci.yml runs, so a green run here means the gate
+# steps will be green in CI (given the same numbers). Pass gate names to run
+# a subset:
 #
 #   ci/run_gates.sh                  # all gates
 #   ci/run_gates.sh durability trust # just these
@@ -12,7 +13,7 @@
 set -u
 
 cd "$(dirname "$0")/.."
-GATES=${*:-"trust obs service ingest_stall durability inference refresh"}
+GATES=${*:-"size trust obs service ingest_stall durability inference refresh"}
 failed=0
 for gate in $GATES; do
     script="ci/gates/${gate}.py"

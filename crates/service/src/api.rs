@@ -3,7 +3,7 @@
 use crate::http::{Request, Response};
 use crate::json::{parse, Json};
 use crate::registry::TableRegistry;
-use crate::table::{Snapshot, TableConfig, TableState};
+use crate::{Snapshot, TableConfig, TableState};
 use std::sync::Arc;
 use tcrowd_core::TruthDist;
 use tcrowd_tabular::{
@@ -262,13 +262,18 @@ fn value_to_json(ty: &ColumnType, v: &Value) -> Json {
 
 // ---- handlers ----
 
-fn create_table(registry: &TableRegistry, req: &Request) -> Response {
-    let body = match std::str::from_utf8(&req.body)
+/// The request body as a JSON document, or the 400 to answer.
+fn json_body(req: &Request) -> Result<Json, Response> {
+    std::str::from_utf8(&req.body)
         .map_err(|_| "body is not UTF-8".to_string())
         .and_then(parse)
-    {
+        .map_err(|e| err_json(400, format!("invalid JSON: {e}")))
+}
+
+fn create_table(registry: &TableRegistry, req: &Request) -> Response {
+    let body = match json_body(req) {
         Ok(doc) => doc,
-        Err(e) => return err_json(400, format!("invalid JSON: {e}")),
+        Err(resp) => return resp,
     };
     let rows = match body.get("rows").and_then(Json::as_u64) {
         Some(r) if r > 0 && r <= 10_000_000 => r as usize,
@@ -382,12 +387,9 @@ fn answer_from_json(schema: &Schema, doc: &Json) -> Result<Answer, String> {
 }
 
 fn post_answers(table: &Arc<TableState>, req: &Request) -> Response {
-    let body = match std::str::from_utf8(&req.body)
-        .map_err(|_| "body is not UTF-8".to_string())
-        .and_then(parse)
-    {
+    let body = match json_body(req) {
         Ok(doc) => doc,
-        Err(e) => return err_json(400, format!("invalid JSON: {e}")),
+        Err(resp) => return resp,
     };
     // Either a batch `{"answers": [...]}` or one bare answer object.
     let docs: Vec<&Json> = match body.get("answers").and_then(Json::as_array) {
@@ -407,19 +409,23 @@ fn post_answers(table: &Arc<TableState>, req: &Request) -> Response {
             ("ingested_total", Json::from(table.ingested() as f64)),
             ("pending", Json::from(table.pending())),
         ])),
-        // A WAL failure is the server's problem, not the client's — and the
-        // batch was NOT acknowledged, so the client may retry verbatim.
-        // `Retry-After` hints at the table's next repair attempt.
-        Err(e) if e.starts_with("storage:") => {
-            err_json(503, e).with_header("Retry-After", table.retry_after_secs())
-        }
-        // Backpressure: the refresher has fallen behind the `max_pending`
-        // bound; the batch was NOT acknowledged — retry after a refresh.
-        Err(e) if e.starts_with("overloaded:") => {
-            err_json(429, e).with_header("Retry-After", table.retry_after_secs())
-        }
-        Err(e) => err_json(400, e),
+        Err(e) => refused(table, e),
     }
+}
+
+/// The response to a refused write: nothing was acknowledged, so the client
+/// may retry verbatim. A storage failure is the server's problem (503), and
+/// backpressure — the refresher behind the `max_pending` bound, or a worker
+/// over its rate limit — is a 429; both carry a `Retry-After` hint at the
+/// table's next repair attempt or refresh. Anything else is the client's
+/// (400).
+fn refused(table: &TableState, e: String) -> Response {
+    let status = match e {
+        _ if e.starts_with("storage:") => 503,
+        _ if e.starts_with("overloaded:") => 429,
+        _ => return err_json(400, e),
+    };
+    err_json(status, e).with_header("Retry-After", table.retry_after_secs())
 }
 
 fn get_answers(table: &Arc<TableState>) -> Response {
@@ -506,90 +512,27 @@ fn snapshot_stats(table: &Arc<TableState>, snap: &Snapshot) -> Json {
         ("em_converged", Json::from(snap.result.converged)),
         ("uptime_ms", Json::from(table.age_ms() as f64)),
         ("durable", Json::from(table.durable())),
-        (
-            "store_snapshot_epoch",
-            match table.last_store_snapshot_epoch() {
-                Some(e) => Json::from(e as f64),
-                None => Json::Null,
-            },
-        ),
-        (
-            "store_snapshot_links",
-            match table.store_snapshot_links() {
-                Some(l) => Json::from(l as f64),
-                None => Json::Null,
-            },
-        ),
+        ("store_snapshot_epoch", Json::from(table.last_store_snapshot_epoch())),
+        ("store_snapshot_links", Json::from(table.store_snapshot_links())),
         // Group-commit coalescing counters and the live WAL segment count
         // (null for memory-only tables; the commit counters are also null
         // once the committer has shut down on the deletion path).
-        (
-            "commit_groups",
-            match table.commit_stats() {
-                Some(s) => Json::from(s.groups as f64),
-                None => Json::Null,
-            },
-        ),
-        (
-            "commit_frames",
-            match table.commit_stats() {
-                Some(s) => Json::from(s.frames as f64),
-                None => Json::Null,
-            },
-        ),
-        (
-            "wal_segments",
-            match table.wal_segments() {
-                Some(n) => Json::from(n as f64),
-                None => Json::Null,
-            },
-        ),
+        ("commit_groups", Json::from(table.commit_stats().map(|s| s.groups))),
+        ("commit_frames", Json::from(table.commit_stats().map(|s| s.frames))),
+        ("wal_segments", Json::from(table.wal_segments())),
         ("health", Json::from(health.health)),
-        (
-            "health_reason",
-            match health.reason {
-                Some(r) => Json::from(r),
-                None => Json::Null,
-            },
-        ),
-        (
-            "degraded_since_ms",
-            match health.degraded_since_ms {
-                Some(ms) => Json::from(ms as f64),
-                None => Json::Null,
-            },
-        ),
+        ("health_reason", Json::from(health.reason)),
+        ("degraded_since_ms", Json::from(health.degraded_since_ms)),
         ("refit_failures", Json::from(health.refit_failures as f64)),
         ("persist_failures", Json::from(health.persist_failures as f64)),
-        (
-            "last_error",
-            match health.last_error {
-                Some(e) => Json::from(e),
-                None => Json::Null,
-            },
-        ),
-        (
-            "max_pending",
-            match table.config.max_pending {
-                Some(b) => Json::from(b),
-                None => Json::Null,
-            },
-        ),
+        ("last_error", Json::from(health.last_error)),
+        ("max_pending", Json::from(table.config.max_pending)),
         // Trust subsystem counters: the state-machine census at the last
         // publish, the decision sequence number, and how many batches the
         // per-worker rate limit refused.
         ("trust_auto", Json::from(table.config.trust_auto)),
-        ("trust_seq", Json::from(table.trust_seq() as f64)),
-        (
-            "suspect_workers",
-            Json::from(
-                snap.trust
-                    .workers
-                    .iter()
-                    .filter(|s| s.state == tcrowd_trust::TrustState::Suspect)
-                    .count(),
-            ),
-        ),
+        ("trust_seq", Json::from(table.trust.seq() as f64)),
+        ("suspect_workers", Json::from(snap.trust.suspects())),
         ("quarantined_workers", Json::from(snap.trust.quarantine.len())),
         (
             "manual_quarantines",
@@ -625,23 +568,11 @@ fn workers(table: &Arc<TableState>) -> Response {
             Json::obj([
                 ("worker", Json::from(s.trust.worker.0)),
                 ("answers", Json::from(s.trust.answers)),
-                (
-                    "quality",
-                    match s.trust.quality {
-                        Some(q) => Json::from(q),
-                        None => Json::Null,
-                    },
-                ),
+                ("quality", Json::from(s.trust.quality)),
                 ("trust_score", Json::from(s.trust.score)),
                 ("max_agreement", Json::from(s.trust.max_agreement)),
                 ("value_collisions", Json::from(s.trust.value_collisions)),
-                (
-                    "collusion_partner",
-                    match s.trust.partner {
-                        Some(p) => Json::from(p.0),
-                        None => Json::Null,
-                    },
-                ),
+                ("collusion_partner", Json::from(s.trust.partner.map(|p| p.0))),
                 ("state", Json::from(s.state.name())),
                 ("manual", Json::from(s.manual)),
             ])
@@ -666,12 +597,9 @@ fn set_quarantine(table: &Arc<TableState>, worker: &str, quarantined: bool) -> R
         Ok(state) => ok_json(Json::obj([
             ("worker", Json::from(worker)),
             ("state", Json::from(state.name())),
-            ("trust_seq", Json::from(table.trust_seq() as f64)),
+            ("trust_seq", Json::from(table.trust.seq() as f64)),
         ])),
-        Err(e) if e.starts_with("storage:") => {
-            err_json(503, e).with_header("Retry-After", table.retry_after_secs())
-        }
-        Err(e) => err_json(400, e),
+        Err(e) => refused(table, e),
     }
 }
 

@@ -2,9 +2,10 @@
 //! blocking worker-thread-pool server over [`std::net::TcpListener`].
 //!
 //! Scope is deliberately the subset a JSON API needs — `Content-Length`
-//! bodies (no chunked transfer), persistent connections (HTTP/1.1 keep-alive
-//! is what makes the closed-loop benchmark measure the service rather than
-//! TCP handshakes), and `%xx` query decoding. Requests are capped at
+//! bodies (a request with `Transfer-Encoding` is refused), persistent
+//! connections (HTTP/1.1 keep-alive is what makes the closed-loop benchmark
+//! measure the service rather than TCP handshakes), and `%xx` query
+//! decoding. Requests are capped at
 //! [`MAX_BODY`] bytes; anything malformed is answered with `400` and the
 //! connection is dropped, so a confused peer cannot wedge a worker thread.
 
@@ -193,7 +194,7 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> std::io::Result<Option
     };
     // HTTP/1.1 defaults to keep-alive, HTTP/1.0 to close.
     let mut keep_alive = version != "HTTP/1.0";
-    let mut content_length = 0usize;
+    let mut content_length: Option<usize> = None;
     let mut request_id: Option<String> = None;
     for header_count in 0usize.. {
         if header_count >= MAX_HEADERS {
@@ -213,11 +214,17 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> std::io::Result<Option
         let value = value.trim();
         match name.to_ascii_lowercase().as_str() {
             "content-length" => {
-                content_length = value.parse().map_err(|_| bad("unparsable Content-Length"))?;
-                if content_length > MAX_BODY {
+                let n = value.parse().map_err(|_| bad("unparsable Content-Length"))?;
+                if n > MAX_BODY {
                     return Err(bad("body too large"));
                 }
+                if content_length.is_some_and(|len| len != n) {
+                    return Err(bad("conflicting Content-Length headers"));
+                }
+                content_length = Some(n);
             }
+            // The body's framing would be read as the next request.
+            "transfer-encoding" => return Err(bad("Transfer-Encoding is not supported")),
             "connection" => {
                 let v = value.to_ascii_lowercase();
                 if v.contains("close") {
@@ -230,7 +237,7 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> std::io::Result<Option
             _ => {}
         }
     }
-    let mut body = vec![0u8; content_length];
+    let mut body = vec![0u8; content_length.unwrap_or(0)];
     reader.read_exact(&mut body)?;
     let (path, query) = match target.split_once('?') {
         Some((p, q)) => (decode_percent(p), parse_query(q)),

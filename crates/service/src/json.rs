@@ -147,6 +147,19 @@ impl From<usize> for Json {
     }
 }
 
+impl From<u64> for Json {
+    fn from(x: u64) -> Json {
+        Json::Num(x as f64)
+    }
+}
+
+/// `None` encodes as `null`.
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(v: Option<T>) -> Json {
+        v.map_or(Json::Null, Into::into)
+    }
+}
+
 impl From<u32> for Json {
     fn from(x: u32) -> Json {
         Json::Num(x as f64)

@@ -44,6 +44,15 @@
 //! [`json`] is a ~300-line JSON tree/parser, [`http`] a
 //! `TcpListener` + worker-thread-pool front end with keep-alive.
 //!
+//! ## Modules
+//!
+//! [`api`] routes requests onto a [`TableRegistry`] of [`TableState`]s
+//! ([`table`]: ingest, reads, the published [`Snapshot`]). Each other part
+//! of a table has one owner: [`config`], [`durability`] (WAL, commit
+//! thread, snapshot chain, WAL rebuild, tombstone), `fitter` (refresh
+//! phases, refresher thread), `health` (the degradation machine below)
+//! and [`trust`] (worker states, the quarantine set).
+//!
 //! ## Durability
 //!
 //! A registry built over a [`tcrowd_store::Store`] ([`start_durable`] /
@@ -172,24 +181,42 @@
 #![warn(missing_docs)]
 
 pub mod api;
+pub mod config;
+pub mod durability;
+mod fitter;
 mod fresh;
+mod health;
 pub mod http;
 pub mod json;
 pub mod obs;
 pub mod policy;
 pub mod registry;
 pub mod table;
+pub mod trust;
 
+pub use config::TableConfig;
+pub use durability::Durability;
+pub use health::HealthView;
 pub use http::{serve, Handler, Request, Response, ServerHandle};
 pub use json::Json;
 pub use obs::{ServiceObs, TableObs};
 pub use policy::{make_policy, POLICY_NAMES};
 pub use registry::{RecoveryReport, TableRegistry};
-pub use table::{
-    Durability, HealthView, Snapshot, TableConfig, TableState, TrustView, WorkerStatus,
-};
+pub use table::{Snapshot, TableState};
+pub use trust::{TrustView, WorkerStatus};
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
+
+/// Recover a mutex guard even when a sibling thread panicked while holding
+/// the lock. Safe for every lock it is used on: the ingest log is
+/// append-only (a panicked pusher leaves a valid, possibly shorter log —
+/// and WAL-before-ack means nothing un-acked is served), the WAL carries
+/// its own poison flag, the chain/health/trust/refresher structs are plain
+/// bookkeeping, and the fitter pipeline is re-validated via
+/// `fitter_dirty`/rebuild before use.
+pub(crate) fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|p| p.into_inner())
+}
 
 /// Start the full service: an empty [`TableRegistry`] served on `addr`
 /// (port 0 picks an ephemeral port) by `threads` worker threads. Returns

@@ -5,7 +5,7 @@
 //! recover-on-boot.
 
 use crate::obs::ServiceObs;
-use crate::table::{Durability, TableConfig, TableState};
+use crate::{Durability, TableConfig, TableState};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};

@@ -1,368 +1,51 @@
-//! Per-table service state: lock-split ingest/read/fit paths, the
-//! background refresher thread, and the durability hooks into
-//! `tcrowd-store`.
-//!
-//! Each hosted table runs the paper's online loop (Fig. 1 / Algorithm 2)
-//! with the request path split in **three**:
+//! One hosted table: the [`TableState`] that ties its parts together, and
+//! its ingest and read paths. The request path is split in three (the
+//! crate docs draw it):
 //!
 //! * **Ingest** (`POST …/answers`) appends to the [`AnswerLog`] behind a
 //!   `Mutex` — an `O(1)` log push per answer, nothing else. On a durable
-//!   table the batch is first framed into the write-ahead log (one
-//!   group-committed record per batch, flushed/fsynced per the store's
-//!   [`tcrowd_store::FsyncPolicy`]) **before** it enters memory or is
-//!   acknowledged: an acked answer is a durable answer.
+//!   table the batch is first group-committed to the write-ahead log
+//!   **before** it enters memory or is acknowledged: an acked answer is a
+//!   durable answer.
 //! * **Reads** (assignment, truth, stats) share an immutable [`Snapshot`]
-//!   behind an `RwLock<Arc<…>>`: the [`SharedLog`] prefix at the snapshot
-//!   epoch, the frozen [`AnswerMatrix`] (behind an `Arc`), the last
-//!   published [`InferenceResult`] and a pre-fitted [`CorrelationModel`].
-//!   Readers clone the `Arc` and never contend with ingestion. Assignment
-//!   alone also counts the answers acked since the snapshot's epoch: each
-//!   snapshot carries an overlay that applies them once, with the §5.1
-//!   incremental update, to a private copy of its posteriors (see
+//!   behind an `RwLock<Arc<…>>` and never contend with ingestion.
+//!   Assignment alone also counts the answers acked since the snapshot's
+//!   epoch: each snapshot carries an overlay that applies them once, with
+//!   the §5.1 incremental update, to a private copy of its posteriors (see
 //!   [`TableState::assign`]); `/truth` keeps serving the snapshot.
 //! * **Fits** run under a separate *fitter* mutex and **never hold the
-//!   ingest lock while EM runs**. A refresh holds the ingest lock only for
-//!   `O(Δ)` work — twice, briefly:
+//!   ingest lock while EM runs** (the `fitter` module: the refresh phases
+//!   and the refresher thread).
 //!
-//! ```text
-//!   lock ingest ── slice log tail since fit epoch (O(Δ) copy) ── unlock
-//!        │
-//!        ▼  (ingestion keeps flowing)
-//!   merge_delta into the evolving freeze ── EM refit (warm or cold)
-//!        │
-//!   lock ingest ── slice mid-fit arrivals (O(Δ')) + WAL sync/position ── unlock
-//!        │
-//!        ▼
-//!   catch-up merge (freeze + §5.1 incremental posterior per answer)
-//!        │
-//!   publish Arc<Snapshot> atomically ── persist an incremental store
-//!                                        snapshot (answers since the last
-//!                                        one + chained WAL offset)
-//! ```
-//!
-//! The publish itself is `O(Δ)` too: the snapshot's log is a structurally
-//! shared [`SharedLog`] (appending the delta shares every older chunk) and
-//! its freeze is an `Arc` handed over from the fitter — no `O(n)`
-//! log/matrix/fit deep-clone ever happens under *any* lock.
-//!
-//! With cold refits (the default) a snapshot published with an **empty**
-//! catch-up delta is a pure function of the committed answer order — the
-//! 1e-6 offline-agreement gates rely on it. A snapshot that did fold in
-//! mid-fit arrivals marks them in [`Snapshot::catchup_merged`]: those
-//! answers entered the freeze and the posterior incrementally (§5.1) and
-//! become exact at the next refit.
-//!
-//! Durability is `O(Δ)` as well: each publish hands the snapshot to the
-//! table's [`SnapshotChain`], which appends an incremental store-snapshot
-//! *delta* (the answers since the last one plus the chained WAL offset) or
-//! collapses the chain into a full base when its rules say so. The table
-//! only maps what the chain wrote onto its events and health.
+//! The other parts each have one owner: [`crate::config`] (the knobs),
+//! [`crate::durability`] (WAL, commit thread, snapshot chain, WAL rebuild,
+//! tombstone), the `health` module (the degradation machine) and
+//! [`crate::trust`] (worker states and the quarantine set).
 //!
 //! Deletion uses a **tombstone guard**: `TableRegistry::remove` marks the
 //! table deleted *before* joining the refresher, so a refresh that is
 //! mid-refit when the table dies can never publish (or persist a store
 //! snapshot for) a dead table.
 
+use crate::config::TableConfig;
+use crate::durability::Durability;
+use crate::fitter::{FitPipeline, Refresher};
 use crate::fresh::FreshOverlay;
-use crate::obs::{TableObs, HEALTH_DEGRADED, HEALTH_HEALTHY, HEALTH_RECOVERING};
-use crate::policy::{make_policy, POLICY_NAMES};
+use crate::health::{Health, HealthView};
+use crate::lock_recover;
+use crate::obs::TableObs;
+use crate::policy::make_policy;
+use crate::trust::{TrustBook, TrustView};
 use std::collections::{BTreeMap, HashMap};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock, Weak};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex, RwLock};
+use std::time::Instant;
 use tcrowd_core::{
     AssignmentContext, CorrelationModel, FitParams, FitState, InferenceResult, TCrowd,
 };
-use tcrowd_store::{
-    count_segments, CommitSink, CommitStatsView, CommittedBatch, DurableMark, GroupCommit,
-    Persisted, QuarantineEntry, Recovered, SnapshotChain, Wal, WalPosition,
-};
+use tcrowd_store::{QuarantineEntry, Recovered};
 use tcrowd_tabular::{Answer, AnswerLog, AnswerMatrix, CellId, Schema, SharedLog, WorkerId};
-use tcrowd_trust::{advance, score_workers, TrustConfig, TrustState, WorkerTrust};
-
-/// Per-table service policy knobs (the `POST /tables` request body).
-#[derive(Debug, Clone)]
-pub struct TableConfig {
-    /// Default assignment policy (a [`make_policy`] name).
-    pub policy: String,
-    /// Pending-answer threshold that wakes the refresher immediately.
-    pub refit_every: usize,
-    /// Refresher cadence: every tick with pending answers re-fits and
-    /// publishes, threshold reached or not.
-    pub refresh_interval: Duration,
-    /// Warm-start re-fits from the previous published fit (see
-    /// `TCrowd::infer_matrix_warm`). Off by default: cold re-fits make the
-    /// published state a pure function of the collected log, which the
-    /// determinism tests and the bench's offline-agreement gate rely on.
-    pub warm_refits: bool,
-    /// Optional per-cell redundancy cap enforced at assignment time.
-    pub max_answers_per_cell: Option<usize>,
-    /// Seed for stochastic policies (random baseline, entity grouping).
-    pub seed: u64,
-    /// Backpressure bound: when the refresh lag ([`TableState::pending`])
-    /// reaches this many answers, ingest is refused with an `overloaded:`
-    /// error (HTTP 429 + `Retry-After`) until the refresher catches up —
-    /// bounding how stale the served snapshot can get under overload.
-    /// `None` = unbounded (the default).
-    pub max_pending: Option<usize>,
-    /// Run the trust state machine automatically on every refit: workers
-    /// whose trust score pins near chance (or who show a collusion signal)
-    /// are demoted `Trusted → Suspect → Quarantined` and auto-promoted back
-    /// when their score recovers past the hysteresis exit thresholds. Off
-    /// by default — manual quarantine always works regardless.
-    pub trust_auto: bool,
-    /// Thresholds for the trust scorer and hysteresis state machine.
-    pub trust: TrustConfig,
-    /// Per-worker ingest rate limit in answers/second (token bucket;
-    /// `0` = unlimited, the default). A worker over budget gets the whole
-    /// batch refused with an `overloaded:` error (HTTP 429 + `Retry-After`).
-    pub worker_rate: f64,
-    /// Token-bucket burst capacity for [`TableConfig::worker_rate`].
-    pub worker_burst: u32,
-}
-
-impl Default for TableConfig {
-    fn default() -> Self {
-        TableConfig {
-            policy: "structure-aware".to_string(),
-            refit_every: 64,
-            refresh_interval: Duration::from_millis(200),
-            warm_refits: false,
-            max_answers_per_cell: None,
-            seed: 1,
-            max_pending: None,
-            trust_auto: false,
-            trust: TrustConfig::default(),
-            worker_rate: 0.0,
-            worker_burst: 64,
-        }
-    }
-}
-
-/// Every config key, sorted by name, with its value as the WAL Create record
-/// stores it — the one list [`TableConfig::to_kv`] writes and
-/// [`TableConfig::set`] accepts.
-const CONFIG_KEYS: &[(&str, ConfigValue)] = &[
-    ("max_answers_per_cell", |c| opt_string(c.max_answers_per_cell)),
-    ("max_pending", |c| opt_string(c.max_pending)),
-    ("policy", |c| c.policy.clone()),
-    ("refit_every", |c| c.refit_every.to_string()),
-    ("refresh_interval_ms", |c| (c.refresh_interval.as_millis() as u64).to_string()),
-    ("seed", |c| c.seed.to_string()),
-    ("trust_auto", |c| c.trust_auto.to_string()),
-    ("trust_collusion_agreement", |c| c.trust.collusion_agreement.to_string()),
-    ("trust_collusion_collisions", |c| c.trust.collusion_value_collisions.to_string()),
-    ("trust_collusion_overlap", |c| c.trust.collusion_min_overlap.to_string()),
-    ("trust_min_answers", |c| c.trust.min_answers.to_string()),
-    ("trust_quarantine_enter", |c| c.trust.quarantine_enter.to_string()),
-    ("trust_quarantine_exit", |c| c.trust.quarantine_exit.to_string()),
-    ("trust_suspect_enter", |c| c.trust.suspect_enter.to_string()),
-    ("trust_suspect_exit", |c| c.trust.suspect_exit.to_string()),
-    ("warm_refits", |c| c.warm_refits.to_string()),
-    ("worker_burst", |c| c.worker_burst.to_string()),
-    ("worker_rate", |c| c.worker_rate.to_string()),
-];
-
-/// How [`CONFIG_KEYS`] reads one key's value.
-type ConfigValue = fn(&TableConfig) -> String;
-
-/// The optional keys store `None` as the empty string.
-fn opt_string(v: Option<usize>) -> String {
-    v.map(|v| v.to_string()).unwrap_or_default()
-}
-
-impl TableConfig {
-    /// Serialize as the sorted key/value pairs the store's `TableMeta`
-    /// persists (the WAL Create record).
-    pub fn to_kv(&self) -> Vec<(String, String)> {
-        CONFIG_KEYS.iter().map(|(key, get)| (key.to_string(), get(self))).collect()
-    }
-
-    /// Parse and validate one config key's value — the rules `POST /tables`
-    /// and WAL replay share: `refit_every` is raised to at least 1,
-    /// `refresh_interval_ms` clamped to 1..=60000, and an unparsable value,
-    /// an unknown policy, a `max_pending` or `worker_burst` of 0 and a
-    /// negative or non-finite `worker_rate` are refused. The empty string
-    /// is `None` for the optional keys. Keys not in `CONFIG_KEYS` are
-    /// ignored, so a value is never accepted here and then dropped by
-    /// [`TableConfig::to_kv`]. The trust thresholds are checked together
-    /// afterwards ([`TrustConfig::validate`]).
-    pub fn set(&mut self, key: &str, v: &str) -> Result<(), String> {
-        if !CONFIG_KEYS.iter().any(|&(name, _)| name == key) {
-            return Ok(());
-        }
-        let must = |what: &str| format!("'{key}' must be {what}");
-        let int = || must("a non-negative integer");
-        let num = || must("a number");
-        let boolean = || must("a boolean");
-        let t = &mut self.trust;
-        match key {
-            "max_answers_per_cell" if v.is_empty() => self.max_answers_per_cell = None,
-            "max_answers_per_cell" => {
-                self.max_answers_per_cell = Some(v.parse().map_err(|_| int())?)
-            }
-            "max_pending" if v.is_empty() => self.max_pending = None,
-            "max_pending" => match v.parse() {
-                Ok(0) | Err(_) => return Err(must("a positive integer")),
-                Ok(n) => self.max_pending = Some(n),
-            },
-            "policy" if POLICY_NAMES.contains(&v) => self.policy = v.to_string(),
-            "policy" => return Err(must(&format!("one of {}", POLICY_NAMES.join(", ")))),
-            "refit_every" => self.refit_every = v.parse::<usize>().map_err(|_| int())?.max(1),
-            "refresh_interval_ms" => {
-                let ms = v.parse::<u64>().map_err(|_| int())?;
-                self.refresh_interval = Duration::from_millis(ms.clamp(1, 60_000));
-            }
-            "seed" => self.seed = v.parse().map_err(|_| int())?,
-            "trust_auto" => self.trust_auto = v.parse().map_err(|_| boolean())?,
-            "trust_collusion_agreement" => t.collusion_agreement = v.parse().map_err(|_| num())?,
-            "trust_collusion_collisions" => {
-                t.collusion_value_collisions = v.parse().map_err(|_| int())?
-            }
-            "trust_collusion_overlap" => t.collusion_min_overlap = v.parse().map_err(|_| int())?,
-            "trust_min_answers" => t.min_answers = v.parse().map_err(|_| int())?,
-            "trust_quarantine_enter" => t.quarantine_enter = v.parse().map_err(|_| num())?,
-            "trust_quarantine_exit" => t.quarantine_exit = v.parse().map_err(|_| num())?,
-            "trust_suspect_enter" => t.suspect_enter = v.parse().map_err(|_| num())?,
-            "trust_suspect_exit" => t.suspect_exit = v.parse().map_err(|_| num())?,
-            "warm_refits" => self.warm_refits = v.parse().map_err(|_| boolean())?,
-            "worker_burst" => match v.parse() {
-                Ok(0) | Err(_) => return Err(must("a positive u32")),
-                Ok(n) => self.worker_burst = n,
-            },
-            "worker_rate" => match v.parse::<f64>() {
-                Ok(r) if r.is_finite() && r >= 0.0 => self.worker_rate = r,
-                _ => return Err(must("a finite non-negative number")),
-            },
-            _ => return Err(format!("config key '{key}' has no parse rule")),
-        }
-        Ok(())
-    }
-
-    /// Rebuild from persisted key/value pairs with the rules of
-    /// [`TableConfig::set`]. Missing keys, unknown keys and values `set`
-    /// refuses keep their defaults (an invalid set of trust thresholds
-    /// falls back to the default set) — config can evolve without a WAL
-    /// format change in either direction.
-    pub fn from_kv(kv: &[(String, String)]) -> TableConfig {
-        let mut config = TableConfig::default();
-        for (k, v) in kv {
-            let _ = config.set(k, v);
-        }
-        if config.trust.validate().is_err() {
-            config.trust = TrustConfig::default();
-        }
-        config
-    }
-}
-
-/// Per-worker trust bookkeeping: the hysteresis state plus whether an
-/// operator pinned it (`manual` entries are never auto-released).
-#[derive(Debug, Clone, Copy)]
-struct TrustEntry {
-    state: TrustState,
-    manual: bool,
-}
-
-/// The table's trust registry. Lock order: this mutex may be held while
-/// taking the WAL mutex (so quarantine decisions serialise their
-/// full-replacement WAL records in decision order) — never the reverse.
-struct TrustRegistry {
-    /// Workers in a non-`Trusted` state, or operator-pinned. Auto entries
-    /// that recover to `Trusted` are dropped, keeping the map at the size
-    /// of the problem rather than the workforce.
-    states: BTreeMap<WorkerId, TrustEntry>,
-    /// The quarantine set last durably appended to the WAL — compared
-    /// before every append so an unchanged set never writes a record.
-    persisted: Vec<QuarantineEntry>,
-}
-
-/// The quarantined subset of a trust registry, sorted by worker.
-fn quarantined_set(states: &BTreeMap<WorkerId, TrustEntry>) -> Vec<QuarantineEntry> {
-    states
-        .iter()
-        .filter(|(_, e)| e.state == TrustState::Quarantined)
-        .map(|(&w, e)| QuarantineEntry { worker: w, manual: e.manual })
-        .collect()
-}
-
-/// One worker's row in the published trust report.
-#[derive(Debug, Clone)]
-pub struct WorkerStatus {
-    /// Evidence and scores from [`tcrowd_trust::score_workers`] (answer
-    /// count, fitted or shadow quality, collusion signal).
-    pub trust: WorkerTrust,
-    /// Hysteresis state at publish time.
-    pub state: TrustState,
-    /// Operator-pinned (manual quarantine).
-    pub manual: bool,
-}
-
-/// The trust report published with a [`Snapshot`]: every scored worker,
-/// the quarantine decision set, and the exclusion set the published fit
-/// actually ran under. Readers get it with the snapshot's `Arc` clone —
-/// `GET …/workers` never takes the trust or fitter lock.
-#[derive(Debug, Clone)]
-pub struct TrustView {
-    /// Per-worker rows, ascending by worker id.
-    pub workers: Vec<WorkerStatus>,
-    /// The quarantine decision set when this snapshot was published.
-    pub quarantine: Vec<QuarantineEntry>,
-    /// The workers the published fit excluded (lags `quarantine` by at
-    /// most one refresh).
-    pub excluded: Vec<WorkerId>,
-    /// The table's trust sequence number at publish.
-    pub seq: u64,
-}
-
-/// Build the published trust view: the score report overlaid with registry
-/// states, plus registry-only workers (e.g. quarantined before their first
-/// answer) appended with empty evidence.
-fn build_trust_view(
-    report: Vec<WorkerTrust>,
-    states: &BTreeMap<WorkerId, TrustEntry>,
-    quarantine: Vec<QuarantineEntry>,
-    excluded: Vec<WorkerId>,
-    seq: u64,
-) -> TrustView {
-    let mut workers: Vec<WorkerStatus> = report
-        .into_iter()
-        .map(|t| {
-            let e = states.get(&t.worker);
-            WorkerStatus {
-                state: e.map_or(TrustState::Trusted, |e| e.state),
-                manual: e.is_some_and(|e| e.manual),
-                trust: t,
-            }
-        })
-        .collect();
-    for (&w, e) in states {
-        if !workers.iter().any(|s| s.trust.worker == w) {
-            workers.push(WorkerStatus {
-                trust: WorkerTrust {
-                    worker: w,
-                    answers: 0,
-                    quality: None,
-                    score: 1.0,
-                    max_agreement: 0.0,
-                    partner: None,
-                    value_collisions: 0,
-                },
-                state: e.state,
-                manual: e.manual,
-            });
-        }
-    }
-    workers.sort_by_key(|s| s.trust.worker);
-    TrustView { workers, quarantine, excluded, seq }
-}
-
-/// Per-worker token bucket for the ingest rate limit.
-struct Bucket {
-    tokens: f64,
-    last: Instant,
-}
+use tcrowd_trust::{score_workers, TrustState};
 
 /// An immutable published view of one table: everything the read endpoints
 /// serve, consistent at one epoch. Publishing one costs `O(Δ)` — the log
@@ -408,254 +91,10 @@ pub struct Snapshot {
     pub(crate) fresh: FreshOverlay,
 }
 
-/// The durable half of a table: its open WAL (shared with the per-table
-/// commit thread), its directory, and its store-snapshot chain.
-///
-/// Lock order: the ingest `Mutex` is always taken before
-/// the `wal` mutex by direct appenders (quarantine records,
-/// tombstones, the rebuild path); the commit thread takes the WAL mutex
-/// *alone* and its sink takes the ingest mutex *alone* — neither nests,
-/// so the commit thread can never deadlock against a direct appender.
-/// The chain mutex comes last: the rebuild path takes it under the ingest
-/// and WAL locks, and a persist takes nothing under it but the published
-/// snapshot's read lock.
-pub struct Durability {
-    wal: Arc<Mutex<Wal>>,
-    dir: PathBuf,
-    chain: Mutex<SnapshotChain>,
-    /// The commit thread coalescing concurrent `submit` batches into one
-    /// `write+fsync` each ([`GroupCommit`]). `None` until
-    /// [`Durability::start_committer`] runs in `spawn`, and again after
-    /// [`Durability::shutdown_committer`] on the deletion path.
-    committer: Mutex<Option<Arc<GroupCommit>>>,
-    /// The commit thread's durable watermark: the WAL position whose
-    /// answers are both committed and in the in-memory log. Snapshots pin
-    /// to this instead of syncing the WAL under the ingest lock.
-    mark: DurableMark,
-}
-
-impl Durability {
-    /// Wrap a table's open WAL and its snapshot chain — a new
-    /// [`SnapshotChain`] for a freshly-created table, the recovered one
-    /// otherwise.
-    pub fn new(wal: Wal, chain: SnapshotChain) -> Durability {
-        Durability {
-            dir: wal.dir().to_path_buf(),
-            mark: DurableMark::starting_at(wal.position()),
-            wal: Arc::new(Mutex::new(wal)),
-            chain: Mutex::new(chain),
-            committer: Mutex::new(None),
-        }
-    }
-
-    /// Start the table's commit thread: committed batches are pushed into
-    /// `log` (under its lock) and the durable mark advanced before any
-    /// submitter is acked. Called once from `spawn`, after the ingest log
-    /// exists behind its `Arc`.
-    fn start_committer(&self, log: Arc<Mutex<AnswerLog>>, obs: tcrowd_store::ObsHandle) {
-        let sink = Arc::new(ServiceSink { log, mark: self.mark.clone() });
-        let committer = GroupCommit::spawn(Arc::clone(&self.wal), sink, obs);
-        *lock_recover(&self.committer) = Some(Arc::new(committer));
-    }
-
-    /// A clone of the live commit-thread handle, if any.
-    fn committer(&self) -> Option<Arc<GroupCommit>> {
-        lock_recover(&self.committer).clone()
-    }
-
-    /// Drain the submission queue, commit what is queued, and join the
-    /// commit thread. After this returns no new batch can be acked — the
-    /// deletion path calls it *before* appending the tombstone so the
-    /// `Delete` frame is provably the last answer-bearing record.
-    /// Idempotent. Must not be called with the ingest or WAL lock held
-    /// (the committer takes both while draining).
-    fn shutdown_committer(&self) {
-        let committer = lock_recover(&self.committer).take();
-        if let Some(c) = committer {
-            c.shutdown();
-        }
-    }
-}
-
-/// The service's [`CommitSink`]: delivers each durably-committed group
-/// into the in-memory log and advances the durable mark in the same
-/// ingest-lock hold, so "log length == mark.answers == acked prefix" is
-/// an invariant every ingest-lock holder can rely on.
-struct ServiceSink {
-    log: Arc<Mutex<AnswerLog>>,
-    mark: DurableMark,
-}
-
-impl CommitSink for ServiceSink {
-    fn committed(&self, batches: &[CommittedBatch<'_>]) {
-        let mut log = lock_recover(&self.log);
-        for batch in batches {
-            for &a in batch.answers {
-                log.push(a);
-            }
-        }
-        if let Some(last) = batches.last() {
-            self.mark.set(last.position);
-        }
-    }
-}
-
-/// Refresher wake/stop channel.
-struct RefreshCtl {
-    stop: Mutex<bool>,
-    wake: Condvar,
-}
-
-/// Recover a mutex guard even when a sibling thread panicked while holding
-/// the lock. Safe for every lock it is used on: the ingest log is
-/// append-only (a panicked pusher leaves a valid, possibly shorter log —
-/// and WAL-before-ack means nothing un-acked is served), the WAL carries
-/// its own poison flag, the chain/health/ctl/refresher structs are plain
-/// bookkeeping, and the fitter pipeline is re-validated via
-/// `fitter_dirty`/rebuild before use.
-fn lock_recover<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
-    m.lock().unwrap_or_else(|p| p.into_inner())
-}
-
-/// Initial retry backoff after a contained failure.
-const BACKOFF_MIN_MS: u64 = 50;
-/// Backoff ceiling: a persistently-faulty disk is probed at least this
-/// often (plus jitter).
-const BACKOFF_MAX_MS: u64 = 5_000;
-
-/// The table's degradation state machine, behind a leaf-level mutex
-/// (nothing else is ever acquired while it is held).
-///
-/// ```text
-/// Healthy ──failure──▶ Degraded{reason} ──retry due──▶ Recovering
-///    ▲                      ▲                              │
-///    └──────── all clear ───┴────────── still failing ─────┘
-/// ```
-///
-/// Three independent failure axes can be degraded at once; the table is
-/// `Healthy` only when all are clear:
-/// * `refit_broken` — the fit step panicked or failed; the last good
-///   snapshot keeps being served and the pipeline is rebuilt from the
-///   ingest log on the next (backed-off) attempt.
-/// * `persist_pending` — a store-snapshot write failed; serving and ingest
-///   continue (the WAL holds the data), persistence is re-attempted in the
-///   background.
-/// * `wal_broken` — the WAL refused a write/sync and poisoned itself;
-///   ingest answers 503 while reads keep working, and the repair path
-///   rebuilds the log from memory (exactly the acked prefix).
-#[derive(Debug)]
-struct HealthState {
-    refit_broken: bool,
-    persist_pending: bool,
-    wal_broken: bool,
-    /// A repair attempt is executing right now.
-    recovering: bool,
-    refit_failures: u64,
-    persist_failures: u64,
-    last_error: Option<String>,
-    degraded_since: Option<Instant>,
-    retry_at: Option<Instant>,
-    backoff_ms: u64,
-    /// splitmix64 state for backoff jitter (deterministic per seed).
-    jitter: u64,
-}
-
-impl HealthState {
-    fn new(seed: u64) -> HealthState {
-        HealthState {
-            refit_broken: false,
-            persist_pending: false,
-            wal_broken: false,
-            recovering: false,
-            refit_failures: 0,
-            persist_failures: 0,
-            last_error: None,
-            degraded_since: None,
-            retry_at: None,
-            backoff_ms: 0,
-            jitter: seed ^ 0x9E37_79B9_7F4A_7C15,
-        }
-    }
-
-    fn degraded(&self) -> bool {
-        self.refit_broken || self.persist_pending || self.wal_broken
-    }
-
-    /// Exponential backoff with deterministic jitter (up to +50% of the
-    /// base), so many tables degraded by one disk don't retry in lockstep.
-    fn schedule_retry(&mut self) {
-        self.backoff_ms = if self.backoff_ms == 0 {
-            BACKOFF_MIN_MS
-        } else {
-            (self.backoff_ms * 2).min(BACKOFF_MAX_MS)
-        };
-        self.jitter = self.jitter.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.jitter;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        let jitter_ms = (z ^ (z >> 31)) % (self.backoff_ms / 2 + 1);
-        self.retry_at = Some(Instant::now() + Duration::from_millis(self.backoff_ms + jitter_ms));
-    }
-
-    fn note_failure(&mut self, error: String) {
-        self.last_error = Some(error);
-        if self.degraded_since.is_none() {
-            self.degraded_since = Some(Instant::now());
-        }
-        self.schedule_retry();
-    }
-
-    /// Clear the shared degradation bookkeeping once every axis is clear
-    /// (`last_error` stays — it reports the most recent problem even after
-    /// recovery).
-    fn settle(&mut self) {
-        if !self.degraded() {
-            self.degraded_since = None;
-            self.retry_at = None;
-            self.backoff_ms = 0;
-        }
-    }
-}
-
-/// A point-in-time, lock-free copy of a table's health for `/stats` and
-/// `/healthz`.
-#[derive(Debug, Clone)]
-pub struct HealthView {
-    /// `"healthy"`, `"degraded"` or `"recovering"`.
-    pub health: &'static str,
-    /// Why the table is degraded (`None` when healthy).
-    pub reason: Option<String>,
-    /// Milliseconds spent in the current degraded episode.
-    pub degraded_since_ms: Option<u64>,
-    /// Refit panics/failures contained since creation.
-    pub refit_failures: u64,
-    /// Store-snapshot persist failures since creation.
-    pub persist_failures: u64,
-    /// The most recent contained error (sticky across recovery).
-    pub last_error: Option<String>,
-    /// Milliseconds until the next repair attempt (0 = due now).
-    pub retry_after_ms: Option<u64>,
-}
-
-/// The fit half of a table: the evolving [`FitState`] plus the
-/// arrival-order [`SharedLog`] mirror at the same epoch. Lives behind the
-/// fitter mutex — held across EM, never while the ingest lock is wanted by
-/// `submit`.
-struct FitPipeline {
-    fit: FitState,
-    shared: SharedLog,
-}
-
-impl FitPipeline {
-    fn absorb(&mut self, slice: &tcrowd_tabular::LogSlice) {
-        self.fit.absorb(slice);
-        self.shared.append(slice);
-    }
-
-    fn catch_up(&mut self, slice: &tcrowd_tabular::LogSlice) {
-        self.fit.catch_up(slice);
-        self.shared.append(slice);
-    }
+/// Per-worker token bucket for the ingest rate limit.
+struct Bucket {
+    tokens: f64,
+    last: Instant,
 }
 
 /// One hosted table.
@@ -666,64 +105,49 @@ pub struct TableState {
     pub schema: Schema,
     /// Service configuration.
     pub config: TableConfig,
-    rows: usize,
+    pub(crate) rows: usize,
     /// The mutate state: the committed answer order. On a durable table
-    /// only the commit thread's [`ServiceSink`] pushes here (in WAL
-    /// order); memory-only tables push directly from `submit`. Either
-    /// way every mutation is `O(batch)` under this lock.
-    ingest: Arc<Mutex<AnswerLog>>,
+    /// only the commit thread's sink pushes here (in WAL order);
+    /// memory-only tables push directly from `submit`. Either way every
+    /// mutation is `O(batch)` under this lock.
+    pub(crate) ingest: Arc<Mutex<AnswerLog>>,
     /// The fit state: evolving freeze + result + shared-log mirror.
     /// Serialises refreshes; EM runs under it with the ingest lock free.
-    fitter: Mutex<FitPipeline>,
-    published: RwLock<Arc<Snapshot>>,
+    pub(crate) fitter: Mutex<FitPipeline>,
+    /// Set when a caught panic may have left the fitter pipeline
+    /// inconsistent; the next refresh rebuilds it from the ingest log
+    /// before touching it.
+    pub(crate) fitter_dirty: AtomicBool,
+    /// Chaos hook: the next N fit steps panic (contained by the refresh
+    /// path).
+    pub(crate) refit_panic_budget: AtomicU64,
+    pub(crate) published: RwLock<Arc<Snapshot>>,
     ingested: AtomicU64,
     /// Deletion tombstone: set by the registry before the refresher is
     /// joined, checked before every publish and store-snapshot write.
     deleted: AtomicBool,
-    durability: Option<Durability>,
-    ctl: Arc<RefreshCtl>,
-    refresher: Mutex<Option<std::thread::JoinHandle<()>>>,
+    pub(crate) durability: Option<Durability>,
+    pub(crate) refresher: Arc<Refresher>,
     created_at: Instant,
-    /// Degradation state machine (leaf lock — see [`HealthState`]).
-    health: Mutex<HealthState>,
-    /// Set when a caught panic may have left the fitter pipeline
-    /// inconsistent; the next refresh rebuilds it from the ingest log
-    /// before touching it.
-    fitter_dirty: AtomicBool,
-    /// Chaos hook: the next N fit steps panic (contained by the refresh
-    /// path's `catch_unwind`).
-    refit_panic_budget: AtomicU64,
-    /// Worker trust registry (see [`TrustRegistry`] for the lock-order
-    /// contract with the WAL mutex).
-    trust: Mutex<TrustRegistry>,
-    /// Bumped on every trust-state or quarantine-set change.
-    trust_seq: AtomicU64,
+    /// Degradation state machine (a leaf lock).
+    pub(crate) health: Health,
+    /// Worker trust states and the quarantine set (see [`TrustBook`] for
+    /// the lock-order contract with the WAL mutex).
+    pub(crate) trust: TrustBook,
     /// Batches refused by the per-worker ingest rate limit.
     rate_limited: AtomicU64,
     /// Per-worker token buckets (leaf lock; only `submit` touches it).
     buckets: Mutex<HashMap<u32, Bucket>>,
     /// Per-table metrics and the lifecycle event ring ([`crate::obs`]).
-    obs: Arc<TableObs>,
+    pub(crate) obs: Arc<TableObs>,
 }
 
 impl TableState {
     /// Create a table (empty log, initial fit published) and start its
     /// refresher thread. `durability` carries the freshly-created WAL for
-    /// durable tables, `None` keeps the table memory-only.
-    pub fn create(
-        id: String,
-        schema: Schema,
-        rows: usize,
-        config: TableConfig,
-        durability: Option<Durability>,
-    ) -> Arc<TableState> {
-        let obs = TableObs::standalone(&id);
-        Self::create_with_obs(id, schema, rows, config, durability, obs)
-    }
-
-    /// [`TableState::create`] with an externally-registered observability
-    /// bundle (the registry path, so the table's series appear in the
-    /// shared `/metrics` registry).
+    /// durable tables, `None` keeps the table memory-only. `obs` is the
+    /// table's observability bundle: the registry's, so its series appear
+    /// in the shared `/metrics` registry, or [`TableObs::standalone`].
     pub fn create_with_obs(
         id: String,
         schema: Schema,
@@ -733,8 +157,8 @@ impl TableState {
         obs: Arc<TableObs>,
     ) -> Arc<TableState> {
         let log = AnswerLog::new(rows, schema.num_columns());
-        let fit = FitState::empty(TCrowd::default_full(), schema.clone(), rows);
-        Self::spawn(id, schema, rows, config, log, fit, durability, Vec::new(), obs)
+        let fit = FitState::empty(TCrowd::default_full(), schema, rows);
+        Self::spawn(id, config, log, fit, durability, Vec::new(), obs)
     }
 
     /// Resurrect a table from its recovered durable state: the WAL-replayed
@@ -757,8 +181,7 @@ impl TableState {
     /// 3. **No usable snapshot**: a cold fit of the replayed log.
     pub fn recover(rec: Recovered, config: TableConfig, obs: Arc<TableObs>) -> Arc<TableState> {
         let Recovered { id, meta, log, wal, replayed_tail, mut chain, quarantine, .. } = rec;
-        let schema = meta.schema.clone();
-        let rows = meta.rows;
+        let (schema, rows) = (meta.schema, meta.rows);
         let model = TCrowd::default_full();
         let matrix = log.to_matrix();
         // A recovered quarantine set means the persisted fit parameters were
@@ -784,7 +207,7 @@ impl TableState {
             }
             _ => model.infer_matrix(&schema, fit_matrix),
         };
-        let mut fit_state = FitState::from_parts(model, schema.clone(), matrix, result);
+        let mut fit_state = FitState::from_parts(model, schema, matrix, result);
         fit_state.set_exclusions(excluded);
         let wal = wal.expect("recovered live table carries an open WAL");
         // The recovered chain sits at the on-disk tip: the follow-up
@@ -793,17 +216,7 @@ impl TableState {
         // instead of rewriting a byte-identical full snapshot on every
         // restart.
         let durability = Durability::new(wal, chain);
-        let table = Self::spawn(
-            id,
-            schema,
-            rows,
-            config,
-            log,
-            fit_state,
-            Some(durability),
-            quarantine,
-            obs,
-        );
+        let table = Self::spawn(id, config, log, fit_state, Some(durability), quarantine, obs);
         // Persist right away: the recovery fit is exactly what a next crash
         // would want to seed from, and it re-establishes the fast path when
         // a tail was replayed.
@@ -811,11 +224,8 @@ impl TableState {
         table
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn spawn(
         id: String,
-        schema: Schema,
-        rows: usize,
         config: TableConfig,
         log: AnswerLog,
         fit: FitState,
@@ -823,27 +233,16 @@ impl TableState {
         quarantine: Vec<QuarantineEntry>,
         obs: Arc<TableObs>,
     ) -> Arc<TableState> {
-        assert_eq!(fit.epoch(), log.len(), "fit state must cover the adopted log");
-        let correlation = CorrelationModel::fit_matrix(&schema, fit.matrix(), fit.result());
-        let ingested = log.len() as u64;
-        let shared = SharedLog::from_log(&log);
-        let mut states = BTreeMap::new();
-        for q in &quarantine {
-            states
-                .insert(q.worker, TrustEntry { state: TrustState::Quarantined, manual: q.manual });
-        }
-        let report = score_workers(fit.result(), fit.matrix(), &config.trust);
-        let trust_view = Arc::new(build_trust_view(
-            report,
-            &states,
-            quarantine.clone(),
-            fit.exclusions().to_vec(),
-            0,
-        ));
+        let (schema, rows) = (fit.schema().clone(), log.rows());
+        let pipe = FitPipeline::new(fit, &log);
+        let trust = TrustBook::new(quarantine, Arc::clone(&obs));
+        let report = score_workers(pipe.fit.result(), pipe.fit.matrix(), &config.trust);
+        let correlation =
+            CorrelationModel::fit_matrix(&schema, pipe.fit.matrix(), pipe.fit.result());
         let snapshot = Arc::new(Snapshot {
-            log: shared.clone(),
-            matrix: fit.matrix_arc(),
-            result: fit.result().clone(),
+            log: pipe.shared.clone(),
+            matrix: pipe.fit.matrix_arc(),
+            result: pipe.fit.result().clone(),
             correlation,
             epoch: log.len(),
             fitted_epoch: log.len(),
@@ -851,81 +250,39 @@ impl TableState {
             last_refit_ms: 0.0,
             refreshes: 0,
             published_at: Instant::now(),
-            trust: trust_view,
+            trust: Arc::new(trust.view(report, pipe.fit.exclusions())),
             fresh: FreshOverlay::new(log.len()),
         });
-        let seed = config.seed;
+        let ingested = log.len() as u64;
         let ingest = Arc::new(Mutex::new(log));
-        // Route WAL append/fsync timings into this table's histograms, seed
-        // the gauges `/healthz` and `/metrics` read before the first
-        // transition or publish, and start the commit thread — it needs the
-        // ingest log behind its `Arc`, which only exists from here on.
+        // The commit thread needs the ingest log behind its `Arc`, which
+        // only exists from here on.
         if let Some(d) = &durability {
-            lock_recover(&d.wal).set_obs(obs.store_sink());
-            d.start_committer(Arc::clone(&ingest), obs.store_sink());
-            obs.store_sink().wal_segments(count_segments(&d.dir));
+            d.start(Arc::clone(&ingest), obs.store_sink());
         }
-        obs.set_health(HEALTH_HEALTHY);
-        obs.set_trust(0, quarantine.len(), 0);
+        let health = Health::new(&id, config.seed, Arc::clone(&obs));
         let table = Arc::new(TableState {
             id,
             schema,
             config,
             rows,
             ingest,
-            fitter: Mutex::new(FitPipeline { fit, shared }),
+            fitter: Mutex::new(pipe),
+            fitter_dirty: AtomicBool::new(false),
+            refit_panic_budget: AtomicU64::new(0),
             published: RwLock::new(snapshot),
             ingested: AtomicU64::new(ingested),
             deleted: AtomicBool::new(false),
             durability,
-            ctl: Arc::new(RefreshCtl { stop: Mutex::new(false), wake: Condvar::new() }),
-            refresher: Mutex::new(None),
+            refresher: Arc::default(),
             created_at: Instant::now(),
-            health: Mutex::new(HealthState::new(seed)),
-            fitter_dirty: AtomicBool::new(false),
-            refit_panic_budget: AtomicU64::new(0),
-            trust: Mutex::new(TrustRegistry { states, persisted: quarantine }),
-            trust_seq: AtomicU64::new(0),
+            health,
+            trust,
             rate_limited: AtomicU64::new(0),
             buckets: Mutex::new(HashMap::new()),
             obs,
         });
-        let weak: Weak<TableState> = Arc::downgrade(&table);
-        let ctl = Arc::clone(&table.ctl);
-        let interval = table.config.refresh_interval;
-        // The refresher must be unkillable by a sibling panic: every lock
-        // here recovers from poisoning (the stop flag is a plain bool — a
-        // poisoned guard is still a valid bool), and the tick body contains
-        // its own failures, so one panicked request thread can never strand
-        // a table without its refresher.
-        let handle = std::thread::spawn(move || loop {
-            {
-                let guard = lock_recover(&ctl.stop);
-                if *guard {
-                    return;
-                }
-                // Only sleep while below the wake threshold: a notify_one
-                // that fires while a refresh is running (not while we wait)
-                // would otherwise be lost and the burst would sit for a full
-                // interval.
-                let over_threshold = match weak.upgrade() {
-                    Some(t) => t.pending() >= t.config.refit_every,
-                    None => return,
-                };
-                if !over_threshold {
-                    let guard = match ctl.wake.wait_timeout(guard, interval) {
-                        Ok((g, _)) => g,
-                        Err(poisoned) => poisoned.into_inner().0,
-                    };
-                    if *guard {
-                        return;
-                    }
-                }
-            }
-            let Some(table) = weak.upgrade() else { return };
-            table.tick();
-        });
-        *lock_recover(&table.refresher) = Some(handle);
+        table.refresher.start(Arc::downgrade(&table), table.config.refresh_interval);
         table
     }
 
@@ -950,36 +307,9 @@ impl TableState {
         (self.ingested() as usize).saturating_sub(self.snapshot().epoch)
     }
 
-    /// Whether a refresh would change the published state: answers are
-    /// pending, the last publish folded in mid-fit arrivals incrementally
-    /// and a settling refit would make it exact again, or the quarantine
-    /// decision set has moved past the exclusions the published fit used.
-    pub fn needs_refresh(&self) -> bool {
-        self.pending() > 0 || self.snapshot().catchup_merged > 0 || self.trust_pending()
-    }
-
-    /// Whether the published fit's exclusion set lags the current
-    /// quarantine decisions (a refresh closes the gap).
-    fn trust_pending(&self) -> bool {
-        let quarantined: Vec<WorkerId> =
-            self.quarantine_entries().iter().map(|q| q.worker).collect();
-        quarantined != self.snapshot().trust.excluded
-    }
-
-    /// Monotonic counter bumped on every trust-state or quarantine-set
-    /// change (manual or automatic).
-    pub fn trust_seq(&self) -> u64 {
-        self.trust_seq.load(Ordering::SeqCst)
-    }
-
     /// Batches refused by the per-worker ingest rate limit since creation.
     pub fn rate_limited(&self) -> u64 {
         self.rate_limited.load(Ordering::SeqCst)
-    }
-
-    /// The current quarantine decision set (sorted by worker id).
-    pub fn quarantine_entries(&self) -> Vec<QuarantineEntry> {
-        quarantined_set(&lock_recover(&self.trust).states)
     }
 
     /// Manually quarantine (`quarantined = true`, pinned against
@@ -994,92 +324,11 @@ impl TableState {
         worker: WorkerId,
         quarantined: bool,
     ) -> Result<TrustState, String> {
-        let mut reg = lock_recover(&self.trust);
-        let prev = reg.states.get(&worker).copied();
-        if quarantined {
-            reg.states.insert(worker, TrustEntry { state: TrustState::Quarantined, manual: true });
-        } else {
-            reg.states.remove(&worker);
+        if self.trust.set_manual(worker, quarantined, self.durability.as_ref(), &self.health)? {
+            // Wake the refresher so the decision reaches the fit promptly.
+            self.refresher.wake();
         }
-        let set = quarantined_set(&reg.states);
-        if set != reg.persisted {
-            if let Err(e) = self.append_quarantine_record(&set) {
-                // Roll back: the in-memory decision must not outrun the WAL.
-                match prev {
-                    Some(p) => {
-                        reg.states.insert(worker, p);
-                    }
-                    None => {
-                        reg.states.remove(&worker);
-                    }
-                }
-                drop(reg);
-                self.record_wal_failure(format!("quarantine record append failed: {e}"));
-                return Err(format!("storage: quarantine record append failed: {e}"));
-            }
-            reg.persisted = set;
-        }
-        drop(reg);
-        self.trust_seq.fetch_add(1, Ordering::SeqCst);
-        self.obs.event(
-            "quarantine",
-            format!(
-                "worker {} {} (manual)",
-                worker.0,
-                if quarantined { "quarantined" } else { "released" }
-            ),
-            None,
-        );
-        // Wake the refresher so the decision reaches the fit promptly.
-        let _guard = lock_recover(&self.ctl.stop);
-        self.ctl.wake.notify_one();
         Ok(if quarantined { TrustState::Quarantined } else { TrustState::Trusted })
-    }
-
-    /// Durably append the full-replacement quarantine record (no-op for
-    /// memory-only tables). Callers hold the trust lock — the documented
-    /// trust → wal order.
-    fn append_quarantine_record(&self, set: &[QuarantineEntry]) -> Result<(), String> {
-        let Some(d) = &self.durability else { return Ok(()) };
-        let mut wal = lock_recover(&d.wal);
-        wal.append_quarantine(set).map(|_| ()).map_err(|e| e.to_string())
-    }
-
-    /// Whether this table persists to a WAL.
-    pub fn durable(&self) -> bool {
-        self.durability.is_some()
-    }
-
-    /// Group-commit coalescing counters (`None` for memory-only tables or
-    /// after the commit thread shut down on the deletion path).
-    pub fn commit_stats(&self) -> Option<CommitStatsView> {
-        self.durability.as_ref().and_then(|d| d.committer().map(|c| c.stats()))
-    }
-
-    /// Live WAL segments on disk (`None` for memory-only tables).
-    pub fn wal_segments(&self) -> Option<u64> {
-        self.durability.as_ref().map(|d| count_segments(&d.dir))
-    }
-
-    /// Drain, commit, and join the commit thread (idempotent; no-op for
-    /// memory-only tables). The registry calls this on shutdown so queued
-    /// batches are on disk before the process exits.
-    pub fn shutdown_committer(&self) {
-        if let Some(d) = &self.durability {
-            d.shutdown_committer();
-        }
-    }
-
-    /// Epoch of the store-snapshot chain written for this table (`None` for
-    /// memory-only tables, `Some(0)` before the first write).
-    pub fn last_store_snapshot_epoch(&self) -> Option<u64> {
-        self.durability.as_ref().map(|d| lock_recover(&d.chain).epoch())
-    }
-
-    /// Incremental links in the store-snapshot chain (`None` for
-    /// memory-only tables, `Some(0)` right after a full base write).
-    pub fn store_snapshot_links(&self) -> Option<u64> {
-        self.durability.as_ref().map(|d| lock_recover(&d.chain).links())
     }
 
     /// Whether the deletion tombstone is set.
@@ -1091,23 +340,6 @@ impl TableState {
     /// be published from this point on, even by a refresh already running.
     pub fn mark_deleted(&self) {
         self.deleted.store(true, Ordering::SeqCst);
-    }
-
-    /// Durably append the deletion tombstone to the WAL (no-op for
-    /// memory-only tables). Call after [`Self::mark_deleted`]. Shuts the
-    /// commit thread down first — that drains and commits every batch
-    /// already queued and refuses anything submitted later, so no
-    /// acknowledged batch can ever sit *after* the Delete frame in the
-    /// WAL. Must not be called with the ingest or WAL lock held (the
-    /// drain takes both).
-    pub(crate) fn append_tombstone(&self) -> Result<(), String> {
-        if let Some(d) = &self.durability {
-            d.shutdown_committer();
-            let _log = lock_recover(&self.ingest);
-            let mut wal = lock_recover(&d.wal);
-            wal.append_delete().map_err(|e| format!("tombstone append failed: {e}"))?;
-        }
-        Ok(())
     }
 
     /// The current published snapshot (cheap: one `Arc` clone). Recovers
@@ -1180,28 +412,7 @@ impl TableState {
         }
         self.check_rate_limit(answers)?;
         match &self.durability {
-            Some(d) => {
-                // Group-commit path: enqueue and park on the ticket with no
-                // lock held. The commit thread pushes the batch into the
-                // ingest log (under the ingest lock, in WAL order) before
-                // resolving the ticket, so an `Ok` here means the answers
-                // are both durable and readable. The deletion path shuts
-                // the committer down *before* writing its tombstone, so a
-                // post-tombstone submit fails here rather than acking.
-                let Some(committer) = d.committer() else {
-                    return Err(format!("table '{}' was deleted", self.id));
-                };
-                if self.is_deleted() {
-                    return Err(format!("table '{}' was deleted", self.id));
-                }
-                let ticket = committer
-                    .submit(answers.to_vec())
-                    .map_err(|e| format!("storage: WAL append failed: {e}"))?;
-                if let Err(e) = ticket.wait() {
-                    self.record_wal_failure(e.clone());
-                    return Err(format!("storage: {e}"));
-                }
-            }
+            Some(d) => self.commit(d, answers)?,
             None => {
                 let mut log = lock_recover(&self.ingest);
                 if self.is_deleted() {
@@ -1215,12 +426,7 @@ impl TableState {
         self.ingested.fetch_add(answers.len() as u64, Ordering::SeqCst);
         self.obs.ingest_committed(answers.len(), request_id);
         if self.pending() >= self.config.refit_every {
-            // Notify while holding the refresher's mutex: this serialises
-            // against the refresher's below-threshold check, so the wake
-            // either lands while it waits or the re-check sees the new
-            // pending count — never lost in the check→wait window.
-            let _guard = lock_recover(&self.ctl.stop);
-            self.ctl.wake.notify_one();
+            self.refresher.wake();
         }
         Ok(answers.len())
     }
@@ -1264,336 +470,6 @@ impl TableState {
             }
         }
         Ok(())
-    }
-
-    /// Re-fit and publish a fresh snapshot (plus, on durable tables, an
-    /// incremental store snapshot). The ingest lock is held only for two
-    /// `O(Δ)` tail slices; EM and the delta merges run outside it, under
-    /// the fitter mutex (which serialises concurrent refreshes). No-op
-    /// (returns `false`) when the published snapshot is already current or
-    /// the table has been tombstoned. Runs on the refresher thread
-    /// normally; `POST …/refresh` calls it synchronously.
-    pub fn refresh_now(&self) -> bool {
-        let mut pipe = match self.fitter.lock() {
-            Ok(g) => g,
-            Err(poisoned) => {
-                // A sibling panicked under the fitter lock (without the
-                // refresh path's containment — e.g. an OOM-adjacent abort
-                // path): its half-mutated pipeline cannot be trusted.
-                self.fitter_dirty.store(true, Ordering::SeqCst);
-                poisoned.into_inner()
-            }
-        };
-        if self.fitter_dirty.swap(false, Ordering::SeqCst) {
-            // Rebuild from the system of record: an empty pipeline whose
-            // next absorb covers the whole ingest log (one cold fit — the
-            // same work a fresh recovery would do). The exclusion set is
-            // re-seeded from the trust registry so the rebuilt fit filters
-            // from its first refit.
-            pipe.fit = FitState::empty(TCrowd::default_full(), self.schema.clone(), self.rows);
-            pipe.fit.set_exclusions(self.quarantine_entries().iter().map(|q| q.worker).collect());
-            pipe.shared = SharedLog::from_log(&AnswerLog::new(self.rows, self.cols()));
-        }
-        // Phase 1 (brief ingest lock): slice the tail since the fit epoch.
-        let tail = {
-            let log = lock_recover(&self.ingest);
-            log.slice_since(pipe.fit.epoch())
-        };
-        if tail.is_empty() {
-            let snap = self.snapshot();
-            let trust_dirty = {
-                let q: Vec<WorkerId> = self.quarantine_entries().iter().map(|e| e.worker).collect();
-                q.as_slice() != pipe.fit.exclusions()
-            };
-            // Nothing new AND the published state is already the exact fit
-            // of its epoch (no catch-up answers folded in incrementally, no
-            // quarantine decision waiting to be applied): a refresh would
-            // republish the same state.
-            if snap.epoch == pipe.fit.epoch() && snap.catchup_merged == 0 && !trust_dirty {
-                self.note_refit_success();
-                return false;
-            }
-        }
-        // Phase 2 (no ingest lock): delta-merge + EM while ingestion flows.
-        // Contained: a panic here (EM numerical edge, injected chaos) marks
-        // the pipeline dirty and degrades the table instead of killing the
-        // refresher and poisoning the fitter for everyone else. The guard
-        // itself outlives the catch, so the mutex is NOT poisoned by a
-        // caught panic.
-        self.obs.event(
-            "refit_started",
-            format!("epoch {} (+{} pending)", pipe.fit.epoch(), tail.len()),
-            None,
-        );
-        let t0 = Instant::now();
-        let fit_attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.maybe_inject_refit_panic();
-            pipe.absorb(&tail);
-            pipe.fit.refit(self.config.warm_refits);
-            self.apply_trust(&mut pipe)
-        }));
-        let trust_report = match fit_attempt {
-            Ok(report) => report,
-            Err(payload) => {
-                self.fitter_dirty.store(true, Ordering::SeqCst);
-                self.obs.event("refit_panicked", panic_message(&payload), None);
-                self.record_refit_failure(format!("refit panicked: {}", panic_message(&payload)));
-                return false;
-            }
-        };
-        let fitted_epoch = pipe.fit.epoch();
-        // Phase 3 (brief ingest lock): catch-up slice for answers that
-        // arrived mid-fit, plus the durable watermark matching the final
-        // epoch — read in the same lock hold, so the (epoch, offset) pair
-        // is exact. The mark is maintained by the commit thread's sink
-        // under this very lock, so no WAL I/O happens here at all.
-        let (catch, wal_pos) = {
-            let log = lock_recover(&self.ingest);
-            let catch = log.slice_since(pipe.fit.epoch());
-            let wal_pos = self.durability.as_ref().map(|d| d.mark.get());
-            if let Some(pos) = wal_pos {
-                debug_assert_eq!(pos.answers as usize, log.len());
-            }
-            (catch, wal_pos)
-        };
-        // Make the marked bytes at least as durable as the snapshot that
-        // will refer to them — under the WAL lock alone, with ingestion
-        // flowing (under `fsync=always` this fsync finds nothing new).
-        let wal_pos = wal_pos.and_then(|pos| {
-            let d = self.durability.as_ref().expect("wal_pos implies durability");
-            let sync = {
-                let mut wal = lock_recover(&d.wal);
-                wal.sync()
-            };
-            match sync {
-                Ok(()) => Some(pos),
-                Err(e) => {
-                    // The publish still proceeds (readers get the fresh
-                    // snapshot); only the store persist is skipped — its
-                    // offset could point past the durable prefix.
-                    self.record_wal_failure(format!("WAL sync failed: {e}"));
-                    None
-                }
-            }
-        });
-        // Catch-up merge, again outside the ingest lock: O(Δ') freeze merge
-        // plus the §5.1 incremental posterior update per answer.
-        let catchup_merged = catch.len();
-        let finish = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pipe.catch_up(&catch);
-            let correlation =
-                CorrelationModel::fit_matrix(&self.schema, pipe.fit.matrix(), pipe.fit.result());
-            (pipe.fit.epoch(), pipe.fit.matrix_arc(), pipe.fit.result().clone(), correlation)
-        }));
-        let (epoch, matrix, result, correlation) = match finish {
-            Ok(parts) => parts,
-            Err(payload) => {
-                self.fitter_dirty.store(true, Ordering::SeqCst);
-                self.obs.event("refit_panicked", panic_message(&payload), None);
-                self.record_refit_failure(format!(
-                    "catch-up merge panicked: {}",
-                    panic_message(&payload)
-                ));
-                return false;
-            }
-        };
-        let last_refit_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let (estep_ns, mstep_ns) = (result.timings.estep_ns, result.timings.mstep_ns);
-        let trust_view = {
-            let reg = lock_recover(&self.trust);
-            Arc::new(build_trust_view(
-                trust_report,
-                &reg.states,
-                quarantined_set(&reg.states),
-                pipe.fit.exclusions().to_vec(),
-                self.trust_seq.load(Ordering::SeqCst),
-            ))
-        };
-        let snapshot = Snapshot {
-            log: pipe.shared.clone(),
-            matrix,
-            result,
-            correlation,
-            epoch,
-            fitted_epoch,
-            catchup_merged,
-            last_refit_ms,
-            refreshes: self.snapshot().refreshes + 1,
-            published_at: Instant::now(),
-            trust: trust_view,
-            fresh: FreshOverlay::new(epoch),
-        };
-        // Tombstone guard: a refresh that was mid-refit when the table was
-        // removed must not publish a snapshot for a dead table.
-        if self.is_deleted() {
-            return false;
-        }
-        let published = {
-            let mut slot = self.published.write().unwrap_or_else(|p| p.into_inner());
-            // Refreshes are serialised by the fitter mutex, so the epoch can
-            // only advance; keep the guard anyway — never replace a newer
-            // snapshot with an older one.
-            if snapshot.epoch >= slot.epoch {
-                *slot = Arc::new(snapshot);
-                true
-            } else {
-                false
-            }
-        };
-        self.note_refit_success();
-        if published {
-            self.obs.observe_refit((last_refit_ms * 1e6) as u64, estep_ns, mstep_ns);
-            let snap = self.snapshot();
-            let suspects =
-                snap.trust.workers.iter().filter(|s| s.state == TrustState::Suspect).count();
-            self.obs.set_trust(suspects, snap.trust.quarantine.len(), snap.trust.seq);
-            self.obs.event(
-                "refit_published",
-                format!("epoch {epoch} (fitted {fitted_epoch}, catch-up {catchup_merged})"),
-                None,
-            );
-            if let Some(pos) = wal_pos {
-                self.write_store_snapshot(pos);
-            }
-        }
-        true
-    }
-
-    /// Score every worker from the just-refit result, advance the
-    /// hysteresis state machine (when `trust_auto` is on — manual pins are
-    /// never auto-released), and apply the resulting quarantine set to the
-    /// fit: when the set changed, one bounded extra refit over the filtered
-    /// freeze runs so the published result never mixes quarantined workers
-    /// in. A changed set is durably appended to the WAL (full-replacement
-    /// record) before it is considered persisted; an append failure keeps
-    /// the in-memory decision (safety first — the workers stay excluded)
-    /// and degrades the table so the repair path re-persists it. Runs under
-    /// the fitter lock, inside the refresh path's panic containment.
-    /// Returns the score report for the published trust view.
-    fn apply_trust(&self, pipe: &mut FitPipeline) -> Vec<WorkerTrust> {
-        let mut report = score_workers(pipe.fit.result(), pipe.fit.matrix(), &self.config.trust);
-        let mut reg = lock_recover(&self.trust);
-        if self.config.trust_auto {
-            for t in &report {
-                let entry = reg
-                    .states
-                    .entry(t.worker)
-                    .or_insert(TrustEntry { state: TrustState::Trusted, manual: false });
-                if entry.manual {
-                    continue;
-                }
-                let next = advance(entry.state, t, &self.config.trust);
-                if next != entry.state {
-                    self.obs.event(
-                        "trust",
-                        format!("worker {} {:?} -> {next:?} (auto)", t.worker.0, entry.state),
-                        None,
-                    );
-                    entry.state = next;
-                    self.trust_seq.fetch_add(1, Ordering::SeqCst);
-                }
-            }
-            reg.states.retain(|_, e| e.manual || e.state != TrustState::Trusted);
-        }
-        let set = quarantined_set(&reg.states);
-        if set != reg.persisted {
-            match self.append_quarantine_record(&set) {
-                Ok(()) => reg.persisted = set.clone(),
-                Err(e) => self.record_wal_failure(format!("quarantine record append failed: {e}")),
-            }
-        }
-        drop(reg);
-        let excluded: Vec<WorkerId> = set.iter().map(|q| q.worker).collect();
-        if pipe.fit.set_exclusions(excluded) {
-            self.trust_seq.fetch_add(1, Ordering::SeqCst);
-            pipe.fit.refit(self.config.warm_refits);
-            // Re-score over the filtered fit so the published report agrees
-            // with the published result (quarantined workers show shadow
-            // scores, not stale fitted qualities). States advanced above
-            // from the pre-change fit and are not re-advanced here.
-            report = score_workers(pipe.fit.result(), pipe.fit.matrix(), &self.config.trust);
-        }
-        report
-    }
-
-    /// Persist the current published snapshot to the store, pinned to the
-    /// commit thread's durable watermark (synced first, under the WAL lock
-    /// alone — never under ingest). Used by recovery and shutdown to
-    /// re-establish the snapshot fast path.
-    pub fn persist_store_snapshot(&self) {
-        let Some(d) = &self.durability else { return };
-        let pos = {
-            let log = lock_recover(&self.ingest);
-            let pos = d.mark.get();
-            debug_assert_eq!(pos.answers as usize, log.len());
-            pos
-        };
-        let sync = {
-            let mut wal = lock_recover(&d.wal);
-            wal.sync()
-        };
-        match sync {
-            Ok(()) => self.write_store_snapshot(pos),
-            Err(e) => self.record_wal_failure(format!("WAL sync failed: {e}")),
-        }
-    }
-
-    /// Hand the published snapshot to the table's [`SnapshotChain`] if it
-    /// matches `pos`; the chain decides between a delta, a full base and
-    /// nothing. Failures degrade the table (`persist_failures` + background
-    /// re-attempt), never stop serving: the store snapshot is a recovery
-    /// accelerator, the WAL already holds the data.
-    fn write_store_snapshot(&self, pos: WalPosition) {
-        let Some(d) = &self.durability else { return };
-        if self.is_deleted() {
-            return;
-        }
-        // The chain mutex serialises read → write → advance: the snapshot
-        // is read under it, so a slower writer can never write a snapshot
-        // (or a fit) that a faster one already superseded, nor chain a
-        // delta from a position that one left behind.
-        let mut chain = lock_recover(&d.chain);
-        let snap = self.snapshot();
-        if snap.epoch as u64 != pos.answers {
-            // A racing persist captured a different epoch; the call whose
-            // position matches its snapshot will write the pair.
-            return;
-        }
-        let outcome = chain.persist(
-            pos,
-            &snap.log,
-            Some(FitParams::of(&snap.result)),
-            &snap.trust.quarantine,
-            &self.obs.store_sink(),
-        );
-        drop(chain);
-        let kind = match outcome {
-            Ok(Persisted::Nothing) => return self.note_persist_success(),
-            Ok(Persisted::Delta) => "chain delta",
-            Ok(Persisted::Base { segments_removed, cleanup }) => {
-                if let Some(e) = cleanup {
-                    eprintln!("tcrowd-service: table '{}' snapshot cleanup: {e}", self.id);
-                }
-                if segments_removed > 0 {
-                    self.obs.event(
-                        "wal_compacted",
-                        format!(
-                            "{segments_removed} cold segment(s) removed below offset {}",
-                            pos.offset
-                        ),
-                        None,
-                    );
-                }
-                "full base"
-            }
-            Err(e) => {
-                let msg = format!("snapshot write failed: {e}");
-                self.obs.event("snapshot_persist_failed", msg.clone(), None);
-                return self.record_persist_failure(msg);
-            }
-        };
-        self.obs.event("snapshot_persisted", format!("epoch {} ({kind})", snap.epoch), None);
-        self.note_persist_success()
     }
 
     /// Select up to `k` cells for `worker` from the published snapshot,
@@ -1647,274 +523,34 @@ impl TableState {
     /// this on removal/shutdown; a table dropped without it would leave the
     /// thread parked until its weak upgrade fails on the next tick.
     pub fn stop_refresher(&self) {
-        *lock_recover(&self.ctl.stop) = true;
-        self.ctl.wake.notify_all();
-        if let Some(handle) = lock_recover(&self.refresher).take() {
-            let _ = handle.join();
-        }
+        self.refresher.stop();
     }
-
-    // ------------------------- health machinery -------------------------
 
     /// A point-in-time copy of the degradation state (for `/stats` and
     /// `/healthz`).
     pub fn health(&self) -> HealthView {
-        let h = lock_recover(&self.health);
-        let health = if h.recovering {
-            "recovering"
-        } else if h.degraded() {
-            "degraded"
-        } else {
-            "healthy"
-        };
-        let mut reasons: Vec<&str> = Vec::new();
-        if h.wal_broken {
-            reasons.push("wal-broken: ingest disabled until the log is rebuilt");
-        }
-        if h.refit_broken {
-            reasons.push("refit-failing: serving the last good snapshot");
-        }
-        if h.persist_pending {
-            reasons.push("persist-failing: store snapshot re-attempt pending");
-        }
-        HealthView {
-            health,
-            reason: if reasons.is_empty() { None } else { Some(reasons.join("; ")) },
-            degraded_since_ms: h.degraded_since.map(|t| t.elapsed().as_millis() as u64),
-            refit_failures: h.refit_failures,
-            persist_failures: h.persist_failures,
-            last_error: h.last_error.clone(),
-            retry_after_ms: h
-                .retry_at
-                .map(|t| t.saturating_duration_since(Instant::now()).as_millis() as u64),
-        }
+        self.health.view()
     }
 
     /// The `Retry-After` hint (seconds, ≥ 1) a refused client should wait:
     /// the remaining repair backoff when degraded, one refresh interval for
     /// plain backpressure.
     pub fn retry_after_secs(&self) -> u64 {
-        let backoff = {
-            let h = lock_recover(&self.health);
-            if h.degraded() {
-                h.retry_at.map(|t| t.saturating_duration_since(Instant::now()).as_secs())
-            } else {
-                None
-            }
-        };
-        backoff.unwrap_or(self.config.refresh_interval.as_secs()).max(1)
-    }
-
-    /// Chaos hook: make the next `n` fit steps panic inside the refresh
-    /// path's containment (each consumes one budget unit).
-    pub fn inject_refit_panics(&self, n: u64) {
-        self.refit_panic_budget.store(n, Ordering::SeqCst);
-    }
-
-    fn maybe_inject_refit_panic(&self) {
-        if self
-            .refit_panic_budget
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |b| b.checked_sub(1))
-            .is_ok()
-        {
-            panic!("injected refit panic (chaos budget)");
-        }
+        let wait = self.health.retry_after().unwrap_or(self.config.refresh_interval);
+        wait.as_secs().max(1)
     }
 
     /// This table's observability bundle (metrics handles + event ring).
     pub fn obs(&self) -> &Arc<TableObs> {
         &self.obs
     }
-
-    /// Run `f` under the health lock; afterwards (lock released), if the
-    /// derived healthy/degraded/recovering state changed, update the
-    /// health gauge and trace a `health` transition event. Every health
-    /// mutation goes through here, so the gauge — which `/healthz` is
-    /// served from — can never drift from the state machine.
-    fn mutate_health<R>(&self, f: impl FnOnce(&mut HealthState) -> R) -> R {
-        let (r, before, after) = {
-            let mut h = lock_recover(&self.health);
-            let before = health_code_of(&h);
-            let r = f(&mut h);
-            (r, before, health_code_of(&h))
-        };
-        if before != after {
-            self.obs.set_health(after);
-            self.obs.event(
-                "health",
-                format!(
-                    "{} -> {}",
-                    crate::obs::health_name(before),
-                    crate::obs::health_name(after)
-                ),
-                None,
-            );
-        }
-        r
-    }
-
-    fn record_refit_failure(&self, msg: String) {
-        eprintln!("tcrowd-service: table '{}' refit contained: {msg}", self.id);
-        self.mutate_health(|h| {
-            h.refit_broken = true;
-            h.refit_failures += 1;
-            h.note_failure(msg);
-        });
-    }
-
-    fn record_persist_failure(&self, msg: String) {
-        eprintln!("tcrowd-service: table '{}' persist degraded: {msg}", self.id);
-        self.mutate_health(|h| {
-            h.persist_pending = true;
-            h.persist_failures += 1;
-            h.note_failure(msg);
-        });
-    }
-
-    fn record_wal_failure(&self, msg: String) {
-        eprintln!("tcrowd-service: table '{}' WAL degraded: {msg}", self.id);
-        self.obs.event("wal_poisoned", msg.clone(), None);
-        self.mutate_health(|h| {
-            h.wal_broken = true;
-            h.note_failure(msg);
-        });
-    }
-
-    fn note_refit_success(&self) {
-        self.mutate_health(|h| {
-            if h.refit_broken {
-                h.refit_broken = false;
-                h.settle();
-            }
-        });
-    }
-
-    fn note_persist_success(&self) {
-        self.mutate_health(|h| {
-            if h.persist_pending {
-                h.persist_pending = false;
-                h.settle();
-            }
-        });
-    }
-
-    /// One refresher-loop iteration: run due repairs, then refresh unless
-    /// the fit path is in backoff.
-    pub(crate) fn tick(&self) {
-        let (wal_broken, persist_pending, refit_broken, due) = {
-            let h = lock_recover(&self.health);
-            let due = h.degraded() && h.retry_at.is_none_or(|t| Instant::now() >= t);
-            (h.wal_broken, h.persist_pending, h.refit_broken, due)
-        };
-        if due {
-            self.mutate_health(|h| h.recovering = true);
-            if wal_broken {
-                self.try_rebuild_wal();
-            }
-            let wal_still_broken = lock_recover(&self.health).wal_broken;
-            if persist_pending && !wal_still_broken {
-                self.persist_store_snapshot();
-            }
-            self.mutate_health(|h| h.recovering = false);
-        }
-        let refit_blocked = {
-            let h = lock_recover(&self.health);
-            h.refit_broken && h.retry_at.is_some_and(|t| Instant::now() < t)
-        };
-        if !refit_blocked && (self.needs_refresh() || (refit_broken && due)) {
-            self.refresh_now();
-        }
-    }
-
-    /// Repair a poisoned WAL by rewriting it from the in-memory ingest log.
-    /// Sound because of WAL-before-ack: an append either committed before
-    /// its batch entered the log, or errored before the log was touched —
-    /// so the in-memory log is *exactly* the acknowledged answer set, and a
-    /// log rewritten from it loses nothing and invents nothing. The chain's
-    /// rebuild drops the stale snapshot chain (whose offsets describe the
-    /// old byte layout) first and resets it; the next persist writes a
-    /// fresh full base.
-    fn try_rebuild_wal(&self) {
-        let Some(d) = &self.durability else { return };
-        if self.is_deleted() {
-            return;
-        }
-        // Captured before the ingest/WAL locks: the trust lock must never
-        // be taken under the WAL lock (trust → wal is the documented
-        // order). A decision racing the rebuild re-appends on the next
-        // refresh — the record is a full replacement, so that is benign.
-        let quarantine = self.quarantine_entries();
-        let result: Result<(), String> = (|| {
-            let log = lock_recover(&self.ingest);
-            let mut wal = lock_recover(&d.wal);
-            if !wal.is_poisoned() {
-                // Already healthy (e.g. a racing repair, or the failure was
-                // an fsync refused by a poisoned WAL that a restart fixed).
-                return Ok(());
-            }
-            let mut chain = lock_recover(&d.chain);
-            *wal = chain
-                .rebuild_wal(log.all(), &quarantine, wal.fsync_policy())
-                .map_err(|e| format!("log rewrite: {e}"))?;
-            let pos = wal.position();
-            debug_assert_eq!(pos.answers as usize, log.len());
-            // Reset the durable mark under the same ingest-lock hold: the
-            // rewritten log's byte layout replaces the old one, and `pos`
-            // covers exactly the in-memory (acked) prefix.
-            d.mark.set(pos);
-            Ok(())
-        })();
-        match result {
-            Ok(()) => {
-                eprintln!("tcrowd-service: table '{}' WAL rebuilt; ingest re-enabled", self.id);
-                self.obs.event(
-                    "wal_rebuilt",
-                    "log rewritten from the acknowledged prefix; ingest re-enabled".to_string(),
-                    None,
-                );
-                // The rewrite collapses the chain to a single segment.
-                self.obs.store_sink().wal_segments(count_segments(&d.dir));
-                self.mutate_health(|h| {
-                    h.wal_broken = false;
-                    // The chain was reset — persist a fresh base on the next
-                    // tick (immediately due).
-                    h.persist_pending = true;
-                    h.backoff_ms = 0;
-                    h.retry_at = Some(Instant::now());
-                });
-            }
-            Err(msg) => self.record_wal_failure(format!("WAL rebuild failed: {msg}")),
-        }
-    }
-}
-
-/// The `tcrowd_table_health` gauge code for a health state (recovering
-/// wins over degraded, matching [`TableState::health`]).
-fn health_code_of(h: &HealthState) -> i64 {
-    if h.recovering {
-        HEALTH_RECOVERING
-    } else if h.degraded() {
-        HEALTH_DEGRADED
-    } else {
-        HEALTH_HEALTHY
-    }
-}
-
-/// Best-effort panic payload → message (panics carry `&str` or `String`
-/// nearly always).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::CONFIG_KEYS;
+    use std::time::Duration;
     use tcrowd_tabular::{generate_dataset, Dataset, GeneratorConfig, Value, WorkerId};
 
     fn make_table(refit_every: usize) -> (Arc<TableState>, Dataset) {
@@ -1933,7 +569,14 @@ mod tests {
             refresh_interval: Duration::from_millis(10),
             ..Default::default()
         };
-        let t = TableState::create("t".into(), d.schema.clone(), d.rows(), config, None);
+        let t = TableState::create_with_obs(
+            "t".into(),
+            d.schema.clone(),
+            d.rows(),
+            config,
+            None,
+            TableObs::standalone("t"),
+        );
         (t, d)
     }
 
@@ -2226,8 +869,26 @@ mod tests {
         assert!(back.trust.excluded.is_empty());
         assert_eq!(back.result.estimates(), baseline.result.estimates());
         assert_eq!(back.result.iterations, baseline.result.iterations);
-        assert!(t.trust_seq() >= 2);
+        assert!(t.trust.seq() >= 2);
         t.stop_refresher();
+    }
+
+    /// A manual decision that leaves the worker's entry as it was changes
+    /// nothing: no trust-sequence bump, no `quarantine` event.
+    #[test]
+    fn a_no_op_quarantine_decision_changes_nothing() {
+        let (t, _) = make_table(usize::MAX);
+        // No background refresh may trace events or move the sequence.
+        t.stop_refresher();
+        let state = || (t.trust.seq(), t.obs().events().last_seq());
+        let before = state();
+        assert_eq!(t.set_worker_quarantine(WorkerId(3), false).unwrap(), TrustState::Trusted);
+        assert_eq!(state(), before, "releasing a never-quarantined worker");
+        assert_eq!(t.set_worker_quarantine(WorkerId(3), true).unwrap(), TrustState::Quarantined);
+        let pinned = state();
+        assert_eq!(pinned.0, before.0 + 1, "the first quarantine is a change");
+        assert_eq!(t.set_worker_quarantine(WorkerId(3), true).unwrap(), TrustState::Quarantined);
+        assert_eq!(state(), pinned, "re-pinning a pinned worker");
     }
 
     /// The assignment overlay applies each since-epoch answer once with
@@ -2250,7 +911,14 @@ mod tests {
             refresh_interval: Duration::from_secs(3600),
             ..Default::default()
         };
-        let t = TableState::create("t".into(), d.schema.clone(), d.rows(), config, None);
+        let t = TableState::create_with_obs(
+            "t".into(),
+            d.schema.clone(),
+            d.rows(),
+            config,
+            None,
+            TableObs::standalone("t"),
+        );
         t.submit(d.answers.all()).unwrap();
         let q = d.answers.all()[0].worker;
         t.set_worker_quarantine(q, true).unwrap();
@@ -2317,7 +985,14 @@ mod tests {
             worker_burst: 4,
             ..Default::default()
         };
-        let t = TableState::create("rl".into(), d.schema.clone(), d.rows(), config, None);
+        let t = TableState::create_with_obs(
+            "rl".into(),
+            d.schema.clone(),
+            d.rows(),
+            config,
+            None,
+            TableObs::standalone("rl"),
+        );
         let by_worker = |w: u32| -> Vec<Answer> {
             d.answers.all().iter().copied().filter(|a| a.worker == WorkerId(w)).collect()
         };
@@ -2360,7 +1035,14 @@ mod tests {
             trust: tcrowd_trust::TrustConfig { min_answers: 8, ..Default::default() },
             ..Default::default()
         };
-        let t = TableState::create("spam".into(), d.schema.clone(), d.rows(), config, None);
+        let t = TableState::create_with_obs(
+            "spam".into(),
+            d.schema.clone(),
+            d.rows(),
+            config,
+            None,
+            TableObs::standalone("spam"),
+        );
         t.submit(d.answers.all()).unwrap();
         // A spammer answering uniformly at random over every cell.
         let mut rng = StdRng::seed_from_u64(77);

@@ -6,7 +6,7 @@
 //! committed.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 use tcrowd_core::{diagnostics::max_z_discrepancy, OnlineTCrowd, TCrowd};
 use tcrowd_service::{TableConfig, TableRegistry};
@@ -42,8 +42,12 @@ fn concurrent_ingest_and_assignment_equal_serial_replay() {
         .expect("create table");
 
     const SUBMITTERS: usize = 4;
+    const READERS: usize = 2;
     let accepted = Arc::new(AtomicUsize::new(0));
     let done = Arc::new(AtomicBool::new(false));
+    // Submitters start only once every reader has been served once, so no
+    // reader can find the run already over.
+    let start = Arc::new(Barrier::new(SUBMITTERS + READERS));
 
     // Submit threads: each pushes an interleaved slice of the generated
     // stream in small random-sized batches.
@@ -51,9 +55,11 @@ fn concurrent_ingest_and_assignment_equal_serial_replay() {
         .map(|t| {
             let table = Arc::clone(&table);
             let accepted = Arc::clone(&accepted);
+            let start = Arc::clone(&start);
             let mine: Vec<tcrowd_tabular::Answer> =
                 d.answers.all().iter().skip(t).step_by(SUBMITTERS).copied().collect();
             std::thread::spawn(move || {
+                start.wait();
                 let mut at = 0usize;
                 let mut step = 1usize;
                 while at < mine.len() {
@@ -71,17 +77,20 @@ fn concurrent_ingest_and_assignment_equal_serial_replay() {
     // Assignment/read threads: hammer the published snapshot while ingestion
     // runs. Every response must be internally consistent (in-range distinct
     // cells, fresh freeze) regardless of interleaving.
-    let read_threads: Vec<_> = (0..2)
+    let read_threads: Vec<_> = (0..READERS)
         .map(|t| {
             let table = Arc::clone(&table);
             let done = Arc::clone(&done);
+            let start = Arc::clone(&start);
             std::thread::spawn(move || {
                 let mut served = 0usize;
                 let mut worker = 1000 + t as u32;
                 while !done.load(Ordering::SeqCst) {
-                    let (snap, picks, _) = table
-                        .assign(WorkerId(worker), 3, Some("inherent"))
-                        .expect("assignment must not fail");
+                    let assigned = table.assign(WorkerId(worker), 3, Some("inherent"));
+                    if served == 0 {
+                        start.wait();
+                    }
+                    let (snap, picks, _) = assigned.expect("assignment must not fail");
                     assert!(picks.len() <= 3);
                     let mut dedup = picks.clone();
                     dedup.sort();

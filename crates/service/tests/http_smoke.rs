@@ -582,3 +582,43 @@ fn deeply_nested_body_gets_400_and_the_server_stays_up() {
     assert_eq!(status, 200, "{stats}");
     assert_eq!(stats.get("answers").unwrap().as_u64(), Some(1), "{stats}");
 }
+
+/// Bodies are framed by `Content-Length` only. A chunked request (or one
+/// with two disagreeing lengths) gets one 400 and a closed connection
+/// before dispatch: its body framing is never parsed as a next request,
+/// nothing is ingested, and a fresh connection is served as usual.
+#[test]
+fn transfer_encoded_and_ambiguous_bodies_get_400_before_dispatch() {
+    use std::io::{Read, Write};
+    let (registry, server) = tcrowd_service::start("127.0.0.1:0", 2).expect("start server");
+    let client = Client { addr: server.addr() };
+    assert_eq!(client.post("/tables", CREATE_BODY).0, 201);
+    let answer = r#"{"worker":1,"row":0,"col":0,"value":"x"}"#;
+    let chunked = format!(
+        "POST /tables/smoke/answers HTTP/1.1\r\nHost: test\r\nTransfer-Encoding: chunked\r\n\r\n\
+         {:x}\r\n{answer}\r\n0\r\n\r\n",
+        answer.len()
+    );
+    let ambiguous = format!(
+        "POST /tables/smoke/answers HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\
+         Content-Length: 2\r\n\r\n{answer}",
+        answer.len()
+    );
+    for raw in [chunked, ambiguous] {
+        let mut stream = std::net::TcpStream::connect(server.addr()).expect("connect");
+        stream.write_all(raw.as_bytes()).expect("write request");
+        // Read until the server closes; a reset after its reply keeps what
+        // was read.
+        let mut bytes = Vec::new();
+        let _ = stream.read_to_end(&mut bytes);
+        let reply = String::from_utf8_lossy(&bytes);
+        assert!(reply.starts_with("HTTP/1.1 400 "), "{reply}");
+        assert_eq!(reply.matches("HTTP/1.1 ").count(), 1, "exactly one reply: {reply}");
+    }
+    let (status, stats) = client.get("/tables/smoke/stats");
+    assert_eq!(status, 200, "{stats}");
+    assert_eq!(stats.get("answers").unwrap().as_u64(), Some(0), "{stats}");
+    assert_eq!(client.post("/tables/smoke/answers", answer).0, 200);
+    registry.shutdown();
+    server.shutdown();
+}
